@@ -143,6 +143,8 @@ def parse_config(text: str, mode: str, out_dir: Path = Path(".")) -> JobSpec:
                 seen[key] = value
         except ValueError:
             raise ParseError(lineno, f"cannot parse value {value!r} for {key!r}")
+        if key in _FLOAT_KEYS | _LIST_KEYS and not np.isfinite(seen[key]).all():
+            raise ParseError(lineno, f"non-finite value {value!r} for {key!r}")
     return _build_jobspec(mode, seen, out_dir)
 
 
@@ -186,6 +188,8 @@ def _build_jobspec(mode: str, kv: dict, out_dir: Path) -> JobSpec:
             raise ValidationError(f"unsupported sweep axis {sweep_axis!r}")
         if sweep_target not in ("simulate", "criteria"):
             raise ValidationError(f"sweep.target must be simulate or criteria")
+        if len(set(sweep_values)) != len(sweep_values):
+            raise ValidationError("sweep.values must not repeat a value")
     if mode == "figure":
         if figure_id is None:
             raise ValidationError("figure mode needs figure.id")
@@ -301,6 +305,7 @@ def write_trace(path: Path, outcome: RunOutcome):
 
 
 def _run_criteria_job(spec: JobSpec, out: Path):
+    """Write report.txt and criteria.csv; return the Theorem1/2 report or None."""
     params, ic = spec.params, spec.ic
     initial = gaussian_moments(ic, params)
     horizon = spec.horizon or crit.default_horizon(params)
@@ -320,7 +325,7 @@ def _run_criteria_job(spec: JobSpec, out: Path):
     lines.append(f"c2 = {cc.c2!r}")
     lines.append(f"c3 = {cc.c3!r}")
     lines.append(f"c4 = {cc.c4!r}")
-    wrote_csv = False
+    rep = None
     if crit.in_focusing_regime(params):
         rep = crit.check_theorem1(initial, params, horizon, spec.samples)
         lines.append(f"theorem1.satisfied = {rep.satisfied}")
@@ -334,15 +339,12 @@ def _run_criteria_job(spec: JobSpec, out: Path):
         tr = rep.functionTrace
         write_csv(out / "criteria.csv", ["t", "F", "M", "G"],
                   [tr["t"], tr["F"], tr["M"], tr["G"]])
-        wrote_csv = True
     if crit.in_early_collapse_regime(params):
-        rep2 = crit.check_theorem2(initial, params, horizon, spec.samples)
-        lines.append(f"theorem2.satisfied = {rep2.satisfied}")
-        lines.append(f"theorem2.Tstar = {rep2.certifiedTime!r}")
-        tr = rep2.functionTrace
-        if not wrote_csv:
-            write_csv(out / "criteria.csv", ["t", "Z"], [tr["t"], tr["Z"]])
-            wrote_csv = True
+        rep = crit.check_theorem2(initial, params, horizon, spec.samples)
+        lines.append(f"theorem2.satisfied = {rep.satisfied}")
+        lines.append(f"theorem2.Tstar = {rep.certifiedTime!r}")
+        tr = rep.functionTrace
+        write_csv(out / "criteria.csv", ["t", "Z"], [tr["t"], tr["Z"]])
     try:
         inv = crit.manakov_invariants(initial, params)
         lines.append(f"manakov.S1const = {inv['S1const']!r}")
@@ -357,9 +359,11 @@ def _run_criteria_job(spec: JobSpec, out: Path):
     except NotManakov:
         pass
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return rep
 
 
-def _run_simulate_job(spec: JobSpec, out: Path):
+def _run_simulate_job(spec: JobSpec, out: Path) -> RunOutcome:
+    """Run the simulator and write trace.csv and outcome.txt."""
     outcome = run(spec.ic, spec.params, spec.grid, spec.runConfig)
     write_trace(out / "trace.csv", outcome)
     (out / "outcome.txt").write_text(
@@ -368,8 +372,6 @@ def _run_simulate_job(spec: JobSpec, out: Path):
         f"component = {outcome.component}\n",
         encoding="utf-8",
     )
-    if outcome.verdict == "SolverDiverged":
-        raise SolverDiverged(f"run diverged at t={outcome.tStop:g}")
     return outcome
 
 
@@ -384,27 +386,18 @@ def _set_axis(spec: JobSpec, axis: str, value: float) -> JobSpec:
 def _run_sweep_job(spec: JobSpec, out: Path, workers: int):
     def one(value):
         sub = _set_axis(spec, spec.sweepAxis, value)
-        sub_dir = out / f"{spec.sweepAxis.split('.')[1]}={value:g}"
+        name = repr(value).removesuffix(".0")  # unique per float; A=2, not A=2.0
+        sub_dir = out / f"{spec.sweepAxis.split('.')[1]}={name}"
         sub_dir.mkdir(parents=True, exist_ok=True)
         if spec.sweepTarget == "criteria":
-            initial = gaussian_moments(sub.ic, sub.params)
-            horizon = sub.horizon or crit.default_horizon(sub.params)
-            if crit.in_early_collapse_regime(sub.params):
-                rep = crit.check_theorem2(initial, sub.params, horizon, sub.samples)
-            else:
-                rep = crit.check_theorem1(initial, sub.params, horizon, sub.samples)
-            _run_criteria_job(sub, sub_dir)
+            rep = _run_criteria_job(sub, sub_dir)
+            if rep is None:
+                raise RegimeViolation("sweep.target = criteria needs the "
+                                      "focusing or early-collapse regime")
             outcome = "satisfied" if rep.satisfied else "not-satisfied"
             tval = rep.certifiedTime if rep.certifiedTime is not None else math.nan
             return value, outcome, tval
-        outcome = run(sub.ic, sub.params, sub.grid, sub.runConfig)
-        write_trace(sub_dir / "trace.csv", outcome)
-        (sub_dir / "outcome.txt").write_text(
-            f"verdict = {outcome.verdict}\n"
-            f"tStop = {outcome.tStop!r}\n"
-            f"component = {outcome.component}\n",
-            encoding="utf-8",
-        )
+        outcome = _run_simulate_job(sub, sub_dir)
         return value, outcome.verdict, outcome.tStop
 
     if workers > 1:
@@ -512,7 +505,9 @@ def run_job(spec: JobSpec, workers: int = 1) -> int:
         if spec.mode == "criteria":
             _run_criteria_job(spec, out)
         elif spec.mode == "simulate":
-            _run_simulate_job(spec, out)
+            outcome = _run_simulate_job(spec, out)
+            if outcome.verdict == "SolverDiverged":
+                raise SolverDiverged(f"run diverged at t={outcome.tStop:g}")
         elif spec.mode == "sweep":
             _run_sweep_job(spec, out, workers)
         elif spec.mode == "figure":
@@ -521,15 +516,16 @@ def run_job(spec: JobSpec, workers: int = 1) -> int:
             _run_convergence_job(spec, out)
         else:
             raise ValidationError(f"unknown mode {spec.mode!r}")
-    except (ValidationError, RegimeViolation, NotManakov, ConfigInvalid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SolverDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (PtnlsError, ValueError, ArithmeticError) as exc:  # inputs out of reach
+        msg = exc if isinstance(exc, PtnlsError) else repr(exc)
+        print(f"error: {msg}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -127,32 +128,49 @@ def F_function(initial: InitialFunctionals, params: SystemParams, t):
     return val if val.ndim else float(val)
 
 
-def _running_sup_F(initial, params, t_grid):
-    """sup of F over [0, t_i], refined by doubling the grid until stable."""
-    t_end = t_grid[-1]
-    n = max(4 * t_grid.size, 4096)
-    prev = None
-    while True:
-        fine = np.linspace(0.0, t_end, n)
-        sup_fine = np.maximum.accumulate(F_function(initial, params, fine))
-        sup = np.interp(t_grid, fine, sup_fine)
-        if prev is not None:
-            scale = np.maximum(1.0, np.abs(sup))
-            if np.max(np.abs(sup - prev) / scale) < 1e-10 or n > 2**22:
-                return sup
-        prev = sup
-        n *= 2
+def _vertex(Y0, a):
+    """Maximum point of X0 + Y0 t + a t^2 on t > 0, or None."""
+    return -Y0 / (2 * a) if Y0 > 0 and a < 0 else None
+
+
+def _F_peak(initial: InitialFunctionals, params: SystemParams, t_end):
+    """First root r1 of F' in (0, t_end], F's only interior maximum, or None.
+
+    F'' = (16N/(N+2)) E0 + 16 kappa S0 e^{2 gamma t} is non-decreasing for
+    S0 >= 0, so F' is convex and least at t_low, where F'' = 0.
+    """
+    N, gamma, kappa, S0 = params.dim, params.gamma, params.kappa, initial.s0
+    Y0, a = initial.mswRate, (8 * N / (N + 2)) * initial.energy
+    if S0 < 0:
+        raise ValueError("the running supremum of F needs S0 >= 0")
+    # F is quadratic when S0 = 0.  Otherwise F' > Y0 + 2at, so r1 lies past
+    # that vertex and exists only if it does.  F_function rejects gamma = 0.
+    vertex = _vertex(Y0, a)
+    if S0 == 0 or vertex is None or not gamma > 0:
+        return vertex
+
+    def dF(t):
+        return Y0 + 2 * a * t + (8 * kappa * S0 / gamma) * math.expm1(2 * gamma * t)
+
+    hi = min(t_end, math.log(-a / (8 * kappa * S0)) / (2 * gamma))  # t_low
+    if not (hi > vertex and dF(hi) <= 0):
+        return None
+    return _bisect(lambda t: dF(t) <= 0, vertex, hi)
+
+
+def _running_sup(F, t, peak):
+    """sup of F over [0, t] when peak is F's only interior local maximum."""
+    sup = np.maximum(F(0.0), F(t))
+    if peak is not None:
+        sup = np.where(np.asarray(t) >= peak, np.maximum(sup, F(peak)), sup)
+    return sup
 
 
 def M_function(initial: InitialFunctionals, params: SystemParams, t):
-    """M(t) = sup over [0,t] of F + 1."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    order = np.argsort(t_arr)
-    grid = t_arr[order]
-    sup = np.empty_like(grid)
-    sup[order.argsort()] = _running_sup_F(initial, params, grid)
-    out = sup + 1.0
-    return out if np.ndim(t) else float(out[0])
+    """M(t) = sup over [0,t] of F + 1, exact from F(0), F(t) and F's peak."""
+    peak = _F_peak(initial, params, np.max(t))
+    out = _running_sup(partial(F_function, initial, params), t, peak) + 1.0
+    return out if np.ndim(out) else float(out)
 
 
 def G_function(initial: InitialFunctionals, params: SystemParams, t):
@@ -165,14 +183,27 @@ def G_function(initial: InitialFunctionals, params: SystemParams, t):
 
 
 def _bisect(pred, lo, hi, tol=_TIME_TOL):
-    """Smallest t in (lo, hi] with pred(t) true, assuming pred(hi) is true."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    """Smallest t in (lo, hi] with pred(t) true, assuming pred(hi) is true.
+
+    Stops early where the float spacing at hi exceeds tol: no midpoint is left.
+    """
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if pred(mid):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def _first_hit(kind, trace, ok, pred, initial, cc) -> CriterionReport:
+    """The first t > 0 where pred holds, bisected between the scan samples
+    trace["t"] around the first one that ok marks."""
+    ok[0] = False
+    if not ok.any():
+        return CriterionReport(kind, False, None, trace, initial, cc)
+    i = int(np.argmax(ok))
+    t0 = _bisect(pred, trace["t"][i - 1], trace["t"][i])
+    return CriterionReport(kind, True, t0, trace, initial, cc)
 
 
 def check_theorem1(
@@ -191,29 +222,15 @@ def check_theorem1(
     # the energy is deeply negative; the threshold-lemma bracket endpoint
     # T0max (which depends only on X(0) and the constants) localizes it, so
     # scan that early region densely as well.
-    t0_max = (1 / cc.beta) * math.log(
-        1 + cc.beta**2 / ((1 + initial.msw) * (cc.beta**2 + cc.c1))
-    )
+    t0_max = _t0_bracket(initial.msw, 0.0, params, cc)[0]
     early = np.linspace(0.0, min(horizon, 1.5 * t0_max), samples + 1)
     t = np.unique(np.concatenate([t, early]))
-    F = F_function(initial, params, t)
-    M = np.asarray(M_function(initial, params, t))
-    G = M * (cc.c1 * t**2 / 2 + np.exp(cc.beta * t) - 1.0)
-    ok = (F + 1 < 0) & (G < 1)
-    ok[0] = False
-    trace = {"t": t, "F": F, "M": M, "G": G}
-    if not ok.any():
-        return CriterionReport("Theorem1", False, None, trace, initial, cc)
-    i = int(np.argmax(ok))
-
-    def pred(tt):
-        return (
-            F_function(initial, params, tt) + 1 < 0
-            and G_function(initial, params, tt) < 1
-        )
-
-    t0 = _bisect(pred, t[i - 1], t[i])
-    return CriterionReport("Theorem1", True, t0, trace, initial, cc)
+    F, G = partial(F_function, initial, params), partial(G_function, initial, params)
+    trace = {"t": t, "F": F(t), "M": M_function(initial, params, t), "G": G(t)}
+    return _first_hit(
+        "Theorem1", trace, (trace["F"] + 1 < 0) & (trace["G"] < 1),
+        lambda tt: F(tt) + 1 < 0 and G(tt) < 1, initial, cc,
+    )
 
 
 def _t0_bracket(X0: float, C0: float, params: SystemParams, cc: CriterionConstants):
@@ -326,17 +343,11 @@ def check_theorem2(
         horizon = default_horizon(params)
     t = np.linspace(0.0, horizon, samples + 1)
     Z = early_collapse_Z(initial, params, t)
-    cc = constants(params)
-    trace = {"t": t, "Z": Z}
-    below = Z <= 0
-    below[0] = False
-    if not below.any():
-        return CriterionReport("Theorem2", False, None, trace, initial, cc)
-    i = int(np.argmax(below))
-    t_star = _bisect(
-        lambda tt: early_collapse_Z(initial, params, tt) <= 0, t[i - 1], t[i]
+    return _first_hit(
+        "Theorem2", {"t": t, "Z": Z}, Z <= 0,
+        lambda tt: early_collapse_Z(initial, params, tt) <= 0,
+        initial, constants(params),
     )
-    return CriterionReport("Theorem2", True, t_star, trace, initial, cc)
 
 
 def _require_manakov(params: SystemParams):
@@ -412,29 +423,20 @@ def check_manakov_theorem(
         raise RegimeViolation(f"Manakov check needs g > 0, got g={params.g}")
     if horizon is None:
         horizon = default_horizon(params)
-    cc = constants(params)
-    N = params.dim
+    cc, N = constants(params), params.dim
+    a = (8 * N / (N + 2)) * (initial.energy - params.kappa * initial.s1)
+    F, peak = partial(manakov_F, initial, params), _vertex(initial.mswRate, a)
+
+    def M(tt):
+        return _running_sup(F, tt, peak) + 1.0
+
+    def G(tt):
+        exponent = 48 * N * params.gamma * tt / (N + 2)
+        return M(tt) * (cc.c1 * tt**2 / 2 + np.exp(exponent) - 1.0)
+
     t = np.linspace(0.0, horizon, samples + 1)
-    F = manakov_F(initial, params, t)
-    M = np.maximum.accumulate(F) + 1.0
-    G = M * (cc.c1 * t**2 / 2 + np.exp(48 * N * params.gamma * t / (N + 2)) - 1.0)
-    ok = (F + 1 < 0) & (G < 1)
-    ok[0] = False
-    trace = {"t": t, "F": F, "M": M, "G": G}
-    if not ok.any():
-        return CriterionReport("Manakov", False, None, trace, initial, cc)
-    i = int(np.argmax(ok))
-
-    def pred(tt):
-        ts = np.linspace(0.0, tt, samples + 1)
-        Fs = manakov_F(initial, params, ts)
-        Ms = float(np.max(Fs)) + 1.0
-        Gs = Ms * (
-            cc.c1 * tt**2 / 2
-            + math.exp(48 * N * params.gamma * tt / (N + 2))
-            - 1.0
-        )
-        return Fs[-1] + 1 < 0 and Gs < 1
-
-    t0 = _bisect(pred, t[i - 1], t[i])
-    return CriterionReport("Manakov", True, t0, trace, initial, cc)
+    trace = {"t": t, "F": F(t), "M": M(t), "G": G(t)}
+    return _first_hit(
+        "Manakov", trace, (trace["F"] + 1 < 0) & (trace["G"] < 1),
+        lambda tt: F(tt) + 1 < 0 and G(tt) < 1, initial, cc,
+    )

@@ -1,5 +1,10 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptnls import ParseError, SolverDiverged, ValidationError
 from ptnls import cli
@@ -236,3 +241,108 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "run", boom)
         assert run_job(spec) == EXIT_SOLVER
+
+
+class TestInputErrors:
+    """Every input ends in a result or a documented exit code."""
+
+    def _main(self, tmp_path, mode, text):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(text)
+        return main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("line", [
+        "params.g1 = nan", "run.t_max = inf", "grid.L = inf",
+        "criteria.horizon = -inf", "sweep.values = 1,nan",
+    ])
+    def test_non_finite_rejected_at_parse(self, tmp_path, line):
+        with pytest.raises(ParseError):
+            parse_config(MINIMAL + line + "\n", "criteria")
+        assert self._main(tmp_path, "criteria", MINIMAL + line + "\n") == EXIT_PARSE
+
+    @pytest.mark.parametrize("mode, text", [
+        ("simulate", FAST_SIM + "params.dim = 4\n"),  # ValueError
+        ("criteria", "ic.A = 1e300\n"),  # OverflowError
+        ("criteria", "ic.a = 1e-300\n"),  # ZeroDivisionError
+        ("criteria", "params.gamma = 1e-320\n"),  # ZeroDivisionError
+    ], ids=["dim=4", "A=1e300", "a=1e-300", "gamma=1e-320"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
+    def test_library_errors_mapped_to_validation(self, tmp_path, mode, text):
+        assert self._main(tmp_path, mode, text) == EXIT_VALIDATION
+
+    def test_sweep_duplicate_values_rejected(self, tmp_path):
+        text = MINIMAL + "sweep.axis = ic.B\nsweep.values = 2,3,2.0\n"
+        with pytest.raises(ValidationError):
+            parse_config(text, "sweep")
+        assert self._main(tmp_path, "sweep", text) == EXIT_VALIDATION
+
+    def test_sweep_criteria_outside_both_regimes(self, tmp_path):
+        # g1 < 0: neither Theorem 1 nor Theorem 2 applies to the sweep point
+        text = MINIMAL + (
+            "params.g1 = -1\nsweep.axis = ic.B\nsweep.values = 2\n"
+            "sweep.target = criteria\ncriteria.samples = 16\n"
+        )
+        assert self._main(tmp_path, "sweep", text) == EXIT_VALIDATION
+
+    def test_sweep_points_get_distinct_directories(self, tmp_path):
+        text = (
+            "params.gamma = 0.5\nparams.g = -0.5\n"
+            "ic.A = 4\nic.B = 2\nic.a = 0.3\nic.b = 0.1\n"
+            "sweep.axis = ic.A\nsweep.values = 1.0000001,1.0000002\n"
+            "sweep.target = criteria\ncriteria.samples = 64\n"
+        )
+        assert self._main(tmp_path, "sweep", text) == EXIT_OK
+        for value in ("1.0000001", "1.0000002"):
+            report = (tmp_path / "out" / f"A={value}" / "report.txt").read_text()
+            assert "X(0) = " in report
+        assert len((tmp_path / "out" / "summary.csv").read_text().splitlines()) == 3
+
+    def test_sweep_criteria_evaluates_each_point_once(self, tmp_path, monkeypatch):
+        calls = []
+        check = cli.crit.check_theorem1
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(cli.crit, "check_theorem1", counted)
+        text = (
+            "params.gamma = 0.5\nparams.g = -0.5\n"
+            "ic.A = 4\nic.B = 2\nic.a = 0.3\nic.b = 0.1\n"
+            "sweep.axis = ic.B\nsweep.values = 2,3\nsweep.target = criteria\n"
+            "criteria.samples = 64\n"
+        )
+        assert self._main(tmp_path, "sweep", text) == EXIT_OK
+        assert len(calls) == 2
+
+
+_CRITERIA_KEYS = (
+    "params.gamma", "params.kappa", "params.g1", "params.g2", "params.g",
+    "ic.A", "ic.B", "ic.a", "ic.b", "criteria.horizon",
+)
+_EXTREMES = (0.0, -0.0, -1.0, 1e300, -1e300, 1e-300, 1e-320,
+             math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme inputs overflow
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    values=st.dictionaries(
+        st.sampled_from(_CRITERIA_KEYS),
+        st.one_of(st.floats(0.05, 6), st.floats(-6, 6),
+                  st.sampled_from(_EXTREMES), st.floats()),
+        max_size=5,
+    ),
+    dim=st.one_of(st.just(3), st.sampled_from([1, 2, 4, 7, 10**6, 10**400])),
+)
+def test_criteria_exits_with_a_documented_code(values, dim):
+    text = "".join(f"{k} = {v!r}\n" for k, v in values.items())
+    text += f"params.dim = {dim}\ncriteria.samples = 32\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "job.cfg"
+        cfg.write_text(text)
+        code = main(["criteria", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    if all(math.isfinite(v) for v in values.values()):
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+    else:
+        assert code == EXIT_PARSE

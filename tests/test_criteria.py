@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ptnls
 from ptnls import (
     F_function,
     G_function,
@@ -99,6 +104,37 @@ class TestFMG:
         oracle = np.interp(t, dense, np.maximum.accumulate(f_dense)) + 1.0
         got = M_function(ini, p, t)
         assert np.allclose(got, oracle, rtol=1e-6, atol=1e-8)
+        # one input per branch of the closed form; F' convex, so at most one
+        # interior peak r1
+        cases = {
+            "Y0 <= 0": make_initial(s0=1.0, energy=-10.0, msw=0.5, mswRate=-1.0),
+            "E0 > 0, F' > 0": make_initial(s0=1.0, energy=5.0, msw=0.5, mswRate=2.0),
+            # F'' < 0 up to t_low = ln 1.2, yet F' stays positive
+            "F' dips, stays > 0": make_initial(s0=1.0, energy=-2.0, mswRate=3.0),
+            # r1 ~ 0.613 between the samples 0.5 and 1; F(4) > F(r1) again
+            "peak between samples": make_initial(s0=0.05, energy=-0.625, mswRate=3.0),
+            "S0 = 0": make_initial(s0=0.0, energy=-2.0, msw=0.5, mswRate=3.0),
+        }
+        t = np.linspace(0.0, 4.0, 9)
+        dense = np.linspace(0.0, 4.0, 400001)
+        for name, ini in cases.items():
+            f_dense = F_function(ini, p, dense)
+            oracle = np.interp(t, dense, np.maximum.accumulate(f_dense)) + 1.0
+            got = M_function(ini, p, t)
+            assert np.allclose(got, oracle, rtol=1e-6, atol=1e-8), name
+            shuffled = np.array([5, 0, 8, 2, 7, 1, 4, 3, 6])
+            assert np.array_equal(M_function(ini, p, t[shuffled]), got[shuffled]), name
+            scalar = M_function(ini, p, 0.7)
+            assert isinstance(scalar, float), name
+            assert scalar == pytest.approx(
+                np.interp(0.7, dense, np.maximum.accumulate(f_dense)) + 1.0,
+                rel=1e-6, abs=1e-8,
+            ), name
+
+    def test_M_rejects_negative_s0(self):
+        # F' is convex only for S0 >= 0
+        with pytest.raises(ValueError):
+            M_function(make_initial(s0=-1.0, energy=-5.0, mswRate=1.0), params(), 1.0)
 
     def test_M_monotone(self):
         ini = make_initial(s0=1.0, energy=-10.0, msw=0.5, mswRate=-1.0)
@@ -292,6 +328,28 @@ class TestEarlyCollapse:
         assert early_collapse_Z(ini, p, t_star) <= 0
         assert early_collapse_Z(ini, p, 0.9 * t_star) > 0
 
+    def test_theorem2_terminates_where_float_spacing_exceeds_tolerance(self):
+        # Z has its zero near t = 4e7, where doubles are ~7e-9 apart: more
+        # than the 1e-9 bisection tolerance.  Run in a child process so that
+        # a bisection that never ends fails the test instead of hanging it.
+        code = (
+            "from ptnls import InitialFunctionals, SystemParams, check_theorem2\n"
+            "p = SystemParams(gamma=1e-12, kappa=1e-12, g1=1.0, g2=-1.0, g=-1.0)\n"
+            "z = dict.fromkeys(InitialFunctionals.__dataclass_fields__, 0.0)\n"
+            "ini = InitialFunctionals(**{**z, 's0': 1e-12, 'energy': -1e-16,"
+            " 'msw': 1.0})\n"
+            "print(check_theorem2(ini, p, horizon=1e9).certifiedTime)\n"
+        )
+        src = str(Path(ptnls.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        t_star = float(done.stdout)
+        assert 3e7 < t_star < 5e7
+
     def test_theorem2_not_satisfied(self):
         p = params(gamma=0.5, kappa=1.0, g1=4.0, g2=-1.0, g=-0.5)
         ini = gaussian_moments(GaussianIC(5.8, 1.3, 1.0, 1.0), p)
@@ -376,6 +434,19 @@ class TestManakov:
             - 1.0
         )
         assert np.allclose(tr["G"], expected_G, rtol=1e-12)
+
+    def test_manakov_M_is_running_sup_plus_one(self):
+        # brute-force running supremum of the quadratic F-hat as the oracle;
+        # a = (8N/(N+2))(E0 - kappa S1) < 0 puts its vertex at t = 0.3125
+        p = params(gamma=0.5, kappa=1.0)
+        dense = np.linspace(0.0, 2.0, 400001)
+        for energy in (-1.0, 3.0):  # a < 0 and a > 0
+            ini = make_initial(s1=0.6, energy=energy, msw=0.5, mswRate=3.0)
+            rep = check_manakov_theorem(ini, p, horizon=2.0, samples=16)
+            tr = rep.functionTrace
+            f_dense = manakov_F(ini, p, dense)
+            oracle = np.interp(tr["t"], dense, np.maximum.accumulate(f_dense)) + 1.0
+            assert np.allclose(tr["M"], oracle, rtol=1e-6, atol=1e-8), energy
 
     def test_manakov_check_regimes(self):
         with pytest.raises(NotManakov):
