@@ -66,7 +66,8 @@ def constants(params: SystemParams) -> CriterionConstants:
     """The constants c1..c4 entering the blowup conditions.
 
     c2 (and hence beta) is defined only in the focusing regime; it is left
-    as None otherwise so that c1, c3, c4 remain available.
+    as None otherwise so that c1, c3, c4 remain available.  OverflowError
+    if finite inputs give a constant that is not finite.
     """
     _require_supercritical(params)
     N = params.dim
@@ -88,6 +89,9 @@ def constants(params: SystemParams) -> CriterionConstants:
     else:
         c2 = None
         beta = None
+    if not all(math.isfinite(c) for c in (c1, c2, c3, c4, beta) if c is not None):
+        raise OverflowError(f"constants are not finite: c1={c1}, c2={c2}, "
+                            f"c3={c3}, c4={c4}, beta={beta}")
     return CriterionConstants(c1=c1, c2=c2, c3=c3, c4=c4, beta=beta)
 
 

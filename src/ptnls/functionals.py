@@ -61,7 +61,10 @@ class DiagnosticsSample:
 
 
 def gaussian_moments(ic: GaussianIC, params: SystemParams) -> InitialFunctionals:
-    """Closed-form t=0 functionals of the Gaussian input pair."""
+    """Closed-form t=0 functionals of the Gaussian input pair.
+
+    OverflowError if finite inputs give a functional that is not finite.
+    """
     A, B = ic.ampU, ic.ampV
     a, b = ic.widthU, ic.widthV
     N = params.dim
@@ -84,7 +87,7 @@ def gaussian_moments(ic: GaussianIC, params: SystemParams) -> InitialFunctionals
         - 0.5 * params.g2 * quartic_v
         - params.g * cross
     )
-    return InitialFunctionals(
+    out = InitialFunctionals(
         s0=s0,
         s1=s1,
         s2=s2,
@@ -98,6 +101,10 @@ def gaussian_moments(ic: GaussianIC, params: SystemParams) -> InitialFunctionals
         quarticV=quartic_v,
         crossQuartic=cross,
     )
+    bad = [name for name, value in vars(out).items() if not math.isfinite(value)]
+    if bad:
+        raise OverflowError(f"Gaussian moments not finite: {', '.join(bad)}")
+    return out
 
 
 def _full(arr: np.ndarray) -> np.ndarray:

@@ -28,8 +28,8 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError("L must be > 0")
+        if not 0 < self.L < math.inf:
+            raise ValueError("L must be finite and > 0")
         if self.n < 16:
             raise ValueError("need at least 16 interior nodes")
 
@@ -68,6 +68,8 @@ class RunConfig:
     def __post_init__(self):
         # dtMin == dt0 is allowed (no adaptivity headroom; flagged by
         # convergence_check) but dtMin may never exceed dt0
+        if not all(map(math.isfinite, (self.dt0, self.blowupRatio, self.tMax))):
+            raise ConfigInvalid("dt0, blowupRatio and tMax must be finite")
         if not (self.dt0 >= self.dtMin > 0):
             raise ConfigInvalid("need dt0 >= dtMin > 0")
         if not self.blowupRatio > 1:
@@ -189,41 +191,8 @@ def _origin_amp(state: RadialState) -> tuple:
     return abs(state.p[0]) / r1, abs(state.q[0]) / r1
 
 
-def _grace_phase(state, params, cfg, dt, u0_origin, v0_origin, ratio_u, ratio_v):
-    """Continue briefly after the first origin-ratio crossing.
-
-    Collapsing components cross the threshold at slightly staggered times;
-    stepping on until the remaining growing ratio either crosses too or
-    stops growing (with a hard amplitude cap) makes the component flag
-    reflect the joint growth rather than the tie-break of a single step.
-    """
-    cap = 2.0 * cfg.blowupRatio
-    prev_lag = min(ratio_u, ratio_v)
-    while (
-        min(ratio_u, ratio_v) < cfg.blowupRatio
-        and max(ratio_u, ratio_v) < cap
-        and state.t < cfg.tMax
-    ):
-        prev_max = max(np.max(np.abs(state.p)), np.max(np.abs(state.q)), 1e-300)
-        try:
-            new = _advance(state, params, dt, cfg)
-        except SolverDiverged:
-            break
-        new_max = max(np.max(np.abs(new.p)), np.max(np.abs(new.q)))
-        if not math.isfinite(new_max):
-            break
-        if new_max / prev_max - 1.0 > 0.05 and dt / 2 >= cfg.dtMin:
-            dt /= 2
-            continue
-        state = new
-        ou, ov = _origin_amp(state)
-        ratio_u = ou / u0_origin if u0_origin > 0 else 0.0
-        ratio_v = ov / v0_origin if v0_origin > 0 else 0.0
-        lag = min(ratio_u, ratio_v)
-        if lag <= prev_lag:  # the laggard stopped growing; give up waiting
-            break
-        prev_lag = lag
-    return state, ratio_u, ratio_v
+def _peak(state: RadialState) -> float:
+    return max(np.max(np.abs(state.p)), np.max(np.abs(state.q)))
 
 
 def run(
@@ -234,55 +203,72 @@ def run(
 ) -> RunOutcome:
     """Evolve until blowup-like growth, the time horizon, or divergence.
 
+    One accept/reject loop: a step whose field peak max(|p|, |q|) grows by
+    more than 5% is retried with dt halved, down to cfg.dtMin.  Accepted
+    steps are counted and sampled every cfg.sampleEvery until an origin
+    amplitude ratio first crosses cfg.blowupRatio.  A short grace phase
+    follows, because collapsing components cross at slightly staggered
+    times: its steps are neither counted nor sampled, and it ends when the
+    smaller ratio stops growing, when both ratios have crossed, or when one
+    reaches 2 * cfg.blowupRatio.  The component flag (U, V or Both) thus
+    reflects joint growth rather than the tie-break of a single step.
+    Divergence (a SolverDiverged step or a non-finite peak) ends a run as
+    SolverDiverged before the crossing and ends the grace phase after it.
+
     'BlowupLike' deliberately hedges: it records that the origin amplitude
     ratio crossed cfg.blowupRatio, which is the presumable manifestation of
     the blowup, not a proof.  No step ends past cfg.tMax, so tStop <= tMax
-    always, and a run that reaches its horizon stops at tStop == tMax.
+    always, and a run that reaches its horizon stops at tStop == tMax.  The
+    trace always ends with a sample of the final state.
     """
     state = load_initial(ic, grid, params)
     u0_origin, v0_origin = _origin_amp(state)
     trace = [grid_functionals(state, params)]
     peak_u0 = math.sqrt(trace[0].peakU2)
     peak_v0 = math.sqrt(trace[0].peakV2)
+    peak = max(_peak(state), 1e-300)
     dt = cfg.dt0
     steps = 0
+    lag = None  # the smaller origin ratio, once one ratio has crossed
+    diverged = False
     while state.t < cfg.tMax:
-        prev_max = max(np.max(np.abs(state.p)), np.max(np.abs(state.q)), 1e-300)
         try:
             new = _advance(state, params, dt, cfg)
         except SolverDiverged:
-            trace.append(grid_functionals(state, params))
-            return RunOutcome("SolverDiverged", state.t, "None", trace, state)
-        new_max = max(np.max(np.abs(new.p)), np.max(np.abs(new.q)))
-        if not math.isfinite(new_max):
-            return RunOutcome("SolverDiverged", state.t, "None", trace, state)
-        if new_max / prev_max - 1.0 > 0.05 and dt / 2 >= cfg.dtMin:
+            new_peak = math.inf
+        else:
+            new_peak = _peak(new)
+        if not math.isfinite(new_peak):
+            diverged = lag is None
+            break
+        if new_peak / peak - 1.0 > 0.05 and dt / 2 >= cfg.dtMin:
             dt /= 2
             continue
-        state = new
-        steps += 1
-        if steps % cfg.sampleEvery == 0:
-            trace.append(grid_functionals(state, params))
+        state, peak = new, max(new_peak, 1e-300)
         ou, ov = _origin_amp(state)
         ratio_u = ou / u0_origin if u0_origin > 0 else 0.0
         ratio_v = ov / v0_origin if v0_origin > 0 else 0.0
-        if ratio_u >= cfg.blowupRatio or ratio_v >= cfg.blowupRatio:
-            # Grace phase: keep stepping briefly so that a second component
-            # that is still growing can cross as well (runs are interrupted
-            # once the growing ratios are of order blowupRatio, jointly).
-            state, ratio_u, ratio_v = _grace_phase(
-                state, params, cfg, dt, u0_origin, v0_origin, ratio_u, ratio_v
-            )
-            if trace[-1].t != state.t:
+        if lag is None:
+            steps += 1
+            if steps % cfg.sampleEvery == 0:
                 trace.append(grid_functionals(state, params))
-            comp = (
-                "Both"
-                if (ratio_u >= cfg.blowupRatio and ratio_v >= cfg.blowupRatio)
-                else ("U" if ratio_u >= cfg.blowupRatio else "V")
-            )
-            return RunOutcome("BlowupLike", state.t, comp, trace, state)
+            if max(ratio_u, ratio_v) < cfg.blowupRatio:
+                continue
+        elif min(ratio_u, ratio_v) <= lag:  # the laggard stopped growing
+            break
+        lag = min(ratio_u, ratio_v)
+        if lag >= cfg.blowupRatio or max(ratio_u, ratio_v) >= 2 * cfg.blowupRatio:
+            break
     if trace[-1].t != state.t:
         trace.append(grid_functionals(state, params))
+    if diverged:
+        return RunOutcome("SolverDiverged", state.t, "None", trace, state)
+    if lag is not None:
+        comp = (
+            "Both" if min(ratio_u, ratio_v) >= cfg.blowupRatio
+            else ("U" if ratio_u >= cfg.blowupRatio else "V")
+        )
+        return RunOutcome("BlowupLike", state.t, comp, trace, state)
     verdict = "MaxTimeReached"
     last = trace[-1]
     peaks_bounded = (

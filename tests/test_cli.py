@@ -1,10 +1,11 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ptnls import ParseError, SolverDiverged, ValidationError
 from ptnls import cli
@@ -265,7 +266,11 @@ class TestInputErrors:
         ("criteria", "ic.A = 1e300\n"),  # OverflowError
         ("criteria", "ic.a = 1e-300\n"),  # ZeroDivisionError
         ("criteria", "params.gamma = 1e-320\n"),  # ZeroDivisionError
-    ], ids=["dim=4", "A=1e300", "a=1e-300", "gamma=1e-320"])
+        # finite inputs whose moments or constants overflow: E(0) = nan, c3 = inf
+        ("criteria", "params.g1 = 1e308\nparams.g2 = -1e308\n"
+                     "params.g = -1e308\nic.A = 1e3\n"),
+        ("criteria", "params.g1 = 1e308\nparams.g2 = 1e308\nparams.g = 1e308\n"),
+    ], ids=["dim=4", "A=1e300", "a=1e-300", "gamma=1e-320", "E0=nan", "c3=inf"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
     def test_library_errors_mapped_to_validation(self, tmp_path, mode, text):
         assert self._main(tmp_path, mode, text) == EXIT_VALIDATION
@@ -335,6 +340,8 @@ _EXTREMES = (0.0, -0.0, -1.0, 1e300, -1e300, 1e-300, 1e-320,
     ),
     dim=st.one_of(st.just(3), st.sampled_from([1, 2, 4, 7, 10**6, 10**400])),
 )
+# c2 = 8e-321: beta = c3*gamma/c2 overflows, and the lemma bounds would be nan
+@example(values={"params.kappa": 1e-320, "params.g2": 1e-320, "ic.A": 1e-320}, dim=3)
 def test_criteria_exits_with_a_documented_code(values, dim):
     text = "".join(f"{k} = {v!r}\n" for k, v in values.items())
     text += f"params.dim = {dim}\ncriteria.samples = 32\n"
@@ -342,6 +349,9 @@ def test_criteria_exits_with_a_documented_code(values, dim):
         cfg = Path(tmp) / "job.cfg"
         cfg.write_text(text)
         code = main(["criteria", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        if code == EXIT_OK:  # a written report holds finite numbers only
+            report = (Path(tmp) / "out" / "report.txt").read_text()
+            assert not re.search(r"\b(nan|inf)\b", report), report
     if all(math.isfinite(v) for v in values.values()):
         assert code in (EXIT_OK, EXIT_VALIDATION)
     else:

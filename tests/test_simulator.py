@@ -11,6 +11,7 @@ from ptnls import (
     RadialGrid,
     RadialState,
     RunConfig,
+    SolverDiverged,
     SystemParams,
     convergence_check,
     evaluate_ic,
@@ -32,6 +33,9 @@ class TestTypes:
             RadialGrid(0.0, 100)
         with pytest.raises(ValueError):
             RadialGrid(8.0, 15)
+        for L in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                RadialGrid(L, 100)
 
     def test_grid_geometry(self):
         grid = RadialGrid(8.0, 63)
@@ -53,6 +57,12 @@ class TestTypes:
             RunConfig(tMax=-1.0)
         with pytest.raises(ConfigInvalid):
             RunConfig(cnIterations=0)
+        for bad in (
+            dict(tMax=math.nan), dict(tMax=math.inf), dict(dt0=math.inf),
+            dict(blowupRatio=math.inf), dict(dtMin=math.nan),
+        ):
+            with pytest.raises(ConfigInvalid):
+                RunConfig(**bad)
 
 
 class TestLoadInitial:
@@ -218,7 +228,7 @@ class TestRun:
         assert times[-1] == 1.0 and times[-1] - times[-2] > 0.01
 
     def test_advance_clips_to_horizon(self):
-        # every step of run and of its grace phase goes through _advance
+        # every step that run attempts goes through _advance
         p = params(gamma=0.1)
         cfg = RunConfig(dt0=1e-3, dtMin=1e-6, tMax=0.5)
         st0 = load_initial(GaussianIC(0.2, 0.2, 1.0, 1.0), RadialGrid(16.0, 63), p)
@@ -248,6 +258,75 @@ class TestRun:
         times = [s.t for s in out.trace]
         assert times == sorted(times)
         assert times[0] == 0.0
+
+
+class TestRunExits:
+    """Every way out of run's accept/reject loop, on a scripted stepper.
+
+    The k-th call of the replaced step multiplies (p, q) by the k-th pair of
+    factors, or raises it if it is an exception, or returns a finite field
+    whose modulus overflows if it is OVERFLOW.  dtMin == dt0 switches the
+    growth rejection off, so every scripted step is accepted.  Factors of 2
+    scale the origin ratio exactly.
+    """
+
+    OVERFLOW = "overflow"
+    CFG = RunConfig(dt0=0.01, dtMin=0.01, blowupRatio=4.0, tMax=1.0, sampleEvery=100)
+
+    def run_script(self, monkeypatch, script, cfg=CFG):
+        calls = []
+
+        def scripted(state, params, dt, cn_iterations=2):
+            entry = script[len(calls)]
+            calls.append(state.t)
+            if isinstance(entry, Exception):
+                raise entry
+            if entry == self.OVERFLOW:
+                big = np.full(state.grid.n, 1.5e308 * (1 + 1j))
+                return replace(state, p=big, q=big, t=state.t + dt)
+            fu, fv = entry
+            return replace(state, p=state.p * fu, q=state.q * fv, t=state.t + dt)
+
+        monkeypatch.setattr("ptnls.simulator.step", scripted)
+        out = run(GaussianIC(0.2, 0.2, 1.0, 1.0), params(), RadialGrid(8.0, 63), cfg)
+        return out, calls
+
+    @pytest.mark.parametrize("failure", [SolverDiverged("scripted"), OVERFLOW])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # |p| overflows on purpose
+    def test_divergence_before_crossing(self, monkeypatch, failure):
+        out, calls = self.run_script(monkeypatch, [(1.0, 1.0)] * 3 + [failure])
+        assert out.verdict == "SolverDiverged" and out.component == "None"
+        assert out.tStop == calls[-1] == out.finalState.t > 0
+        # the last good state is sampled although it was not a sampling step
+        assert [s.t for s in out.trace] == [0.0, out.tStop]
+
+    def test_divergence_in_grace_phase(self, monkeypatch):
+        script = [(2.0, 1.5), (2.0, 1.5), SolverDiverged("scripted")]
+        out, calls = self.run_script(monkeypatch, script)
+        assert out.verdict == "BlowupLike" and out.component == "U"
+        assert len(calls) == 3 and out.tStop == calls[-1]
+        assert out.trace[-1].t == out.tStop
+
+    @pytest.mark.parametrize("script, component, n_calls", [
+        # one ratio reaches 2 * blowupRatio while the other still grows
+        ([(2.0, 1.5), (2.0, 1.5), (1.5, 1.2), (1.5, 1.2), (2.0, 1.5)], "U", 4),
+        # the smaller ratio stops growing
+        ([(2.0, 1.5), (2.0, 1.5), (1.0, 1.0), (2.0, 1.5)], "U", 3),
+        # both ratios cross: no grace step at all
+        ([(2.0, 2.0), (2.0, 2.0), (2.0, 2.0)], "Both", 2),
+        # the second ratio crosses during the grace phase
+        ([(1.5, 2.0), (1.5, 2.0), (2.0, 1.0), (2.0, 1.0)], "Both", 3),
+    ], ids=["cap", "laggard-stalls", "both-at-once", "both-in-grace"])
+    def test_grace_phase_exits(self, monkeypatch, script, component, n_calls):
+        out, calls = self.run_script(
+            monkeypatch, script, replace(self.CFG, sampleEvery=1)
+        )
+        assert out.verdict == "BlowupLike" and out.component == component
+        assert len(calls) == n_calls
+        assert out.tStop == out.finalState.t == out.trace[-1].t
+        # every script crosses on its second step; the steps up to it are
+        # sampled, the grace steps are not, and the final state closes the trace
+        assert len(out.trace) == 3 + (n_calls > 2)
 
 
 class TestConvergence:
