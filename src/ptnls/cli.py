@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -383,28 +385,38 @@ def _set_axis(spec: JobSpec, axis: str, value: float) -> JobSpec:
     return replace(spec, ic=dataclasses.replace(spec.ic, **{field_map[name]: value}))
 
 
-def _run_sweep_job(spec: JobSpec, out: Path, workers: int):
-    def one(value):
-        sub = _set_axis(spec, spec.sweepAxis, value)
-        name = repr(value).removesuffix(".0")  # unique per float; A=2, not A=2.0
-        sub_dir = out / f"{spec.sweepAxis.split('.')[1]}={name}"
-        sub_dir.mkdir(parents=True, exist_ok=True)
-        if spec.sweepTarget == "criteria":
-            rep = _run_criteria_job(sub, sub_dir)
-            if rep is None:
-                raise RegimeViolation("sweep.target = criteria needs the "
-                                      "focusing or early-collapse regime")
-            outcome = "satisfied" if rep.satisfied else "not-satisfied"
-            tval = rep.certifiedTime if rep.certifiedTime is not None else math.nan
-            return value, outcome, tval
-        outcome = _run_simulate_job(sub, sub_dir)
-        return value, outcome.verdict, outcome.tStop
+def _sweep_point(spec: JobSpec, out: Path, value: float):
+    """Run one sweep point into its own directory: (value, outcome, time)."""
+    sub = _set_axis(spec, spec.sweepAxis, value)
+    name = repr(value).removesuffix(".0")  # unique per float; A=2, not A=2.0
+    sub_dir = out / f"{spec.sweepAxis.split('.')[1]}={name}"
+    sub_dir.mkdir(parents=True, exist_ok=True)
+    if spec.sweepTarget == "criteria":
+        rep = _run_criteria_job(sub, sub_dir)
+        if rep is None:
+            raise RegimeViolation("sweep.target = criteria needs the "
+                                  "focusing or early-collapse regime")
+        outcome = "satisfied" if rep.satisfied else "not-satisfied"
+        tval = rep.certifiedTime if rep.certifiedTime is not None else math.nan
+        return value, outcome, tval
+    outcome = _run_simulate_job(sub, sub_dir)
+    return value, outcome.verdict, outcome.tStop
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, spec.sweepValues))
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_sweep_job(spec: JobSpec, out: Path, workers: int):
+    workers = min(workers, len(spec.sweepValues), _cores())
+    if workers > 1:  # the partial pickles by reference, so any start method works
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(partial(_sweep_point, spec, out), spec.sweepValues))
     else:
-        rows = [one(v) for v in spec.sweepValues]
+        rows = [_sweep_point(spec, out, v) for v in spec.sweepValues]
     with open(out / "summary.csv", "w", encoding="utf-8") as fh:
         fh.write("value,outcome,time\n")
         for value, outcome, tval in rows:
@@ -519,7 +531,7 @@ def run_job(spec: JobSpec, workers: int = 1) -> int:
     except SolverDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except OSError as exc:
+    except (OSError, BrokenProcessPool) as exc:  # BrokenProcessPool: a worker died
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (PtnlsError, ValueError, ArithmeticError) as exc:  # inputs out of reach

@@ -1,8 +1,9 @@
 """System parameters, Gaussian inputs, phase classification and the
 unbroken-phase rotation-transform coefficients.
 
-All types here are frozen dataclasses; they can be shared freely across
-workers.
+All types here are frozen dataclasses.  A sweep with several workers
+pickles them to each worker process; the workers get copies, nothing is
+shared.
 """
 
 from __future__ import annotations

@@ -1,13 +1,26 @@
 import math
+import multiprocessing
+import os
+import pickle
 import re
 import tempfile
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ptnls import ParseError, SolverDiverged, ValidationError
+from ptnls import (
+    GaussianIC,
+    ParseError,
+    RadialGrid,
+    RunConfig,
+    SolverDiverged,
+    SystemParams,
+    ValidationError,
+)
 from ptnls import cli
 from ptnls.cli import (
     EXIT_IO,
@@ -15,7 +28,9 @@ from ptnls.cli import (
     EXIT_PARSE,
     EXIT_SOLVER,
     EXIT_VALIDATION,
+    FIGURE_IDS,
     TRACE_COLUMNS,
+    JobSpec,
     main,
     parse_config,
     read_csv,
@@ -43,6 +58,19 @@ run.dt0 = 1e-3
 run.dt_min = 1e-6
 run.t_max = 0.05
 run.sample_every = 10
+"""
+
+CRITERIA_SWEEP = """\
+params.gamma = 0.5
+params.g = -0.5
+ic.A = 4
+ic.B = 2
+ic.a = 0.3
+ic.b = 0.1
+sweep.axis = ic.B
+sweep.values = 2,3,4
+sweep.target = criteria
+criteria.samples = 64
 """
 
 
@@ -247,10 +275,11 @@ class TestExitCodes:
 class TestInputErrors:
     """Every input ends in a result or a documented exit code."""
 
-    def _main(self, tmp_path, mode, text):
+    def _main(self, tmp_path, mode, text, workers=1):
         cfg = tmp_path / "job.cfg"
         cfg.write_text(text)
-        return main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        return main([mode, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--workers", str(workers)])
 
     @pytest.mark.parametrize("line", [
         "params.g1 = nan", "run.t_max = inf", "grid.L = inf",
@@ -281,13 +310,15 @@ class TestInputErrors:
             parse_config(text, "sweep")
         assert self._main(tmp_path, "sweep", text) == EXIT_VALIDATION
 
-    def test_sweep_criteria_outside_both_regimes(self, tmp_path):
-        # g1 < 0: neither Theorem 1 nor Theorem 2 applies to the sweep point
+    @pytest.mark.parametrize("workers", [1, 2], ids=["workers=1", "workers=2"])
+    def test_sweep_criteria_outside_both_regimes(self, tmp_path, monkeypatch, workers):
+        # g1 < 0: neither Theorem 1 nor Theorem 2 applies to the sweep points
+        monkeypatch.setattr(cli, "_cores", lambda: 2)  # same path on any machine
         text = MINIMAL + (
-            "params.g1 = -1\nsweep.axis = ic.B\nsweep.values = 2\n"
+            "params.g1 = -1\nsweep.axis = ic.B\nsweep.values = 2,3\n"
             "sweep.target = criteria\ncriteria.samples = 16\n"
         )
-        assert self._main(tmp_path, "sweep", text) == EXIT_VALIDATION
+        assert self._main(tmp_path, "sweep", text, workers) == EXIT_VALIDATION
 
     def test_sweep_points_get_distinct_directories(self, tmp_path):
         text = (
@@ -319,6 +350,111 @@ class TestInputErrors:
         )
         assert self._main(tmp_path, "sweep", text) == EXIT_OK
         assert len(calls) == 2
+
+
+def _exit_worker(spec, out, value):
+    """A sweep point whose worker process dies."""
+    if multiprocessing.parent_process() is None:  # never end the test process
+        raise AssertionError("sweep point ran in the test process")
+    os._exit(1)
+
+
+# A sweep point raising each error that run_job maps, keyed by int(value);
+# a RegimeViolation is raised for real in test_sweep_criteria_outside_both_regimes.
+_POINT_ERRORS = {
+    1: ValueError("bad input"),
+    2: ZeroDivisionError("float division by zero"),
+    3: OSError("disk full"),
+}
+
+
+def _failing_point(spec, out, value):
+    raise _POINT_ERRORS[int(value)]
+
+
+class TestSweepPool:
+    """--workers k runs up to k points in worker processes, with the
+    serial output."""
+
+    @pytest.mark.parametrize("workers, cores, size", [
+        (100000, 8, 3),  # capped at the number of points
+        (100000, 2, 2),  # capped at the cores
+        (2, 8, 2),
+        (3, 1, None),  # one core: serial
+        (1, 8, None),
+    ])
+    def test_pool_size_is_capped(self, tmp_path, monkeypatch, workers, cores, size):
+        sizes = []
+
+        class InlinePool:  # records its size, maps in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, values):
+                return map(fn, values)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_cores", lambda: cores)
+        spec = parse_config(CRITERIA_SWEEP, "sweep", tmp_path)
+        assert run_job(spec, workers=workers) == EXIT_OK
+        assert sizes == ([] if size is None else [size])
+        assert len((tmp_path / "summary.csv").read_text().splitlines()) == 4
+
+    def test_workers_write_the_serial_bytes(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class CountedPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(cli, "_cores", lambda: 2)
+        text = FAST_SIM + "sweep.axis = ic.A\nsweep.values = 0.3,0.1,0.2\n"
+        trees = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert run_job(parse_config(text, "sweep", out), workers=workers) == EXIT_OK
+            trees[workers] = {p.relative_to(out): p.read_bytes()
+                              for p in out.rglob("*") if p.is_file()}
+        assert sizes == [2]
+        assert len(trees[1]) == 7  # summary.csv, and trace.csv, outcome.txt per point
+        assert trees[2] == trees[1]
+        values = [line.split(",")[0] for line in
+                  trees[2][Path("summary.csv")].decode().splitlines()[1:]]
+        assert values == [cli._fmt(v) for v in (0.3, 0.1, 0.2)]  # sweep.values order
+
+    def test_sweep_point_pickles(self, tmp_path):
+        # what the spawn and forkserver start methods need
+        text = FAST_SIM + "sweep.axis = ic.A\nsweep.values = 0.1\n"
+        point = partial(cli._sweep_point, parse_config(text, "sweep", tmp_path), tmp_path)
+        row = pickle.loads(pickle.dumps(point))(0.1)
+        assert row == point(0.1)
+        assert row[1] in ("Dispersed", "MaxTimeReached")
+
+    @pytest.mark.parametrize("key, code", [
+        (1, EXIT_VALIDATION), (2, EXIT_VALIDATION), (3, EXIT_IO),
+    ], ids=["ValueError", "ZeroDivisionError", "OSError"])
+    def test_worker_errors_keep_their_exit_codes(self, tmp_path, monkeypatch, key, code):
+        monkeypatch.setattr(cli, "_sweep_point", _failing_point)
+        monkeypatch.setattr(cli, "_cores", lambda: 2)
+        text = CRITERIA_SWEEP.replace("2,3,4", f"{key},{key + 0.5}")
+        for workers in (1, 2):
+            spec = parse_config(text, "sweep", tmp_path / f"w{workers}")
+            assert run_job(spec, workers=workers) == code
+
+    def test_dead_worker_exits_5(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_point", _exit_worker)
+        monkeypatch.setattr(cli, "_cores", lambda: 2)
+        spec = parse_config(CRITERIA_SWEEP, "sweep", tmp_path)
+        assert run_job(spec, workers=2) == EXIT_IO
+        assert not (tmp_path / "summary.csv").exists()
 
 
 _CRITERIA_KEYS = (
@@ -356,3 +492,55 @@ def test_criteria_exits_with_a_documented_code(values, dim):
         assert code in (EXIT_OK, EXIT_VALIDATION)
     else:
         assert code == EXIT_PARSE
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _jobspecs(draw):
+    dt_min = draw(_positive)
+    spec = JobSpec(
+        mode=draw(st.sampled_from(["criteria", "simulate", "convergence"])),
+        params=SystemParams(
+            gamma=draw(st.floats(min_value=0.0, allow_infinity=False)),
+            kappa=draw(_positive),
+            g1=draw(_finite), g2=draw(_finite), g=draw(_finite),
+            dim=draw(st.integers(1, 10**6)),
+        ),
+        ic=GaussianIC(draw(_positive), draw(_positive), draw(_positive), draw(_positive)),
+        runConfig=RunConfig(
+            dt0=draw(st.floats(min_value=dt_min, allow_infinity=False)),
+            dtMin=dt_min,
+            blowupRatio=draw(st.floats(min_value=1.0, exclude_min=True,
+                                       allow_infinity=False)),
+            tMax=draw(_positive),
+            sampleEvery=draw(st.integers(1, 10**6)),
+            cnIterations=draw(st.integers(1, 100)),
+        ),
+        grid=RadialGrid(L=draw(_positive), n=draw(st.integers(16, 10**6))),
+        horizon=draw(st.none() | _finite),
+        samples=draw(st.integers(1, 10**6)),
+        outputDir=Path(draw(st.sampled_from([".", "out", "runs/a b"]))),
+    )
+    section = draw(st.sampled_from(["none", "sweep", "figure"]))
+    if section == "sweep":
+        spec = replace(
+            spec, mode="sweep",
+            sweepAxis=draw(st.sampled_from(sorted(cli._SWEEP_AXES))),
+            sweepValues=tuple(draw(st.lists(_finite, min_size=1, max_size=5,
+                                            unique=True))),
+            sweepTarget=draw(st.sampled_from(["simulate", "criteria"])),
+        )
+    elif section == "figure":
+        spec = replace(spec, mode="figure", figureId=draw(st.sampled_from(FIGURE_IDS)))
+    return spec
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(spec=_jobspecs())
+def test_jobspec_round_trips_and_pickles(spec):
+    # the sweep pool ships this object to its workers
+    assert parse_config(serialize_jobspec(spec), spec.mode, spec.outputDir) == spec
+    assert pickle.loads(pickle.dumps(spec)) == spec
