@@ -1,7 +1,8 @@
 """Drive the batch front door: config documents in, CSV artifacts out.
 
 Writes a small config, runs the `ptnls` entry point in two modes, and reads
-the emitted artifacts back with the tool's own CSV loader.
+the emitted artifacts back with the tool's own CSV loader.  Everything is
+written to a temporary directory that is removed at the end.
 """
 
 import tempfile
@@ -9,7 +10,8 @@ from pathlib import Path
 
 from ptnls.cli import main, read_csv
 
-workdir = Path(tempfile.mkdtemp(prefix="ptnls-demo-"))
+tmp = tempfile.TemporaryDirectory(prefix="ptnls-demo-")
+workdir = Path(tmp.name)
 
 # --- criteria mode -------------------------------------------------------
 cfg = workdir / "criteria.cfg"
@@ -50,4 +52,4 @@ header, data = read_csv(out2 / "trace.csv")
 print(f"trace.csv columns: {header}")
 print(f"power grew from {data['S0'][0]:.4f} to {data['S0'][-1]:.4f} "
       f"over t in [0, {data['t'][-1]:.2f}]")
-print(f"artifacts left in {workdir}")
+tmp.cleanup()

@@ -11,7 +11,6 @@ keys are rejected.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -52,53 +51,6 @@ EXIT_IO = 5
 
 MODES = ("criteria", "simulate", "sweep", "figure", "convergence")
 
-FIGURE_IDS = (
-    "fig1a",
-    "fig1b",
-    "fig1c",
-    "fig2",
-    "fig3a",
-    "fig3b",
-    "fig3c",
-    "fig4a",
-    "fig4b",
-)
-
-_FLOAT_KEYS = {
-    "params.gamma",
-    "params.kappa",
-    "params.g1",
-    "params.g2",
-    "params.g",
-    "ic.A",
-    "ic.B",
-    "ic.a",
-    "ic.b",
-    "run.dt0",
-    "run.dt_min",
-    "run.blowup_ratio",
-    "run.t_max",
-    "grid.L",
-    "criteria.horizon",
-}
-_INT_KEYS = {"params.dim", "run.sample_every", "run.cn_iterations", "grid.n", "criteria.samples"}
-_STR_KEYS = {"sweep.axis", "sweep.target", "figure.id"}
-_LIST_KEYS = {"sweep.values"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
-
-_SWEEP_AXES = {
-    "params.gamma",
-    "params.kappa",
-    "params.g1",
-    "params.g2",
-    "params.g",
-    "ic.A",
-    "ic.B",
-    "ic.a",
-    "ic.b",
-}
-
-
 @dataclass(frozen=True)
 class JobSpec:
     mode: str
@@ -107,12 +59,73 @@ class JobSpec:
     runConfig: RunConfig
     grid: RadialGrid
     horizon: Optional[float] = None
-    samples: int = 4096
+    samples: int = crit._DEFAULT_SAMPLES
     sweepAxis: Optional[str] = None
     sweepValues: Optional[tuple] = None
     sweepTarget: str = "simulate"
     figureId: Optional[str] = None
     outputDir: Path = Path(".")
+
+
+# Every config key: (JobSpec field, field inside it or None, value type).
+# Parsing, defaults, serializing and the sweep axes all read this table.
+_KEYS = {
+    "params.gamma": ("params", "gamma", float),
+    "params.kappa": ("params", "kappa", float),
+    "params.g1": ("params", "g1", float),
+    "params.g2": ("params", "g2", float),
+    "params.g": ("params", "g", float),
+    "params.dim": ("params", "dim", int),
+    "ic.A": ("ic", "ampU", float),
+    "ic.B": ("ic", "ampV", float),
+    "ic.a": ("ic", "widthU", float),
+    "ic.b": ("ic", "widthV", float),
+    "run.dt0": ("runConfig", "dt0", float),
+    "run.dt_min": ("runConfig", "dtMin", float),
+    "run.blowup_ratio": ("runConfig", "blowupRatio", float),
+    "run.t_max": ("runConfig", "tMax", float),
+    "run.sample_every": ("runConfig", "sampleEvery", int),
+    "run.cn_iterations": ("runConfig", "cnIterations", int),
+    "grid.L": ("grid", "L", float),
+    "grid.n": ("grid", "n", int),
+    "criteria.horizon": ("horizon", None, float),
+    "criteria.samples": ("samples", None, int),
+    "sweep.axis": ("sweepAxis", None, str),
+    "sweep.values": ("sweepValues", None, tuple),
+    "sweep.target": ("sweepTarget", None, str),
+    "figure.id": ("figureId", None, str),
+}
+
+# The values of the keys that a config leaves out.
+_DEFAULTS = JobSpec("criteria", SystemParams(gamma=0.5, kappa=1.0),
+                    GaussianIC(1.0, 1.0), RunConfig(), DEFAULT_GRID)
+
+_SWEEP_AXES = {key for key, (attr, _, kind) in _KEYS.items()
+               if attr in ("params", "ic") and kind is float}
+
+
+def _get(spec: JobSpec, key: str):
+    attr, name, _ = _KEYS[key]
+    value = getattr(spec, attr)
+    return value if name is None else getattr(value, name)
+
+
+def _override(spec: JobSpec, kv: dict) -> JobSpec:
+    """spec with the config keys in kv set.
+
+    Each section is rebuilt by one constructor call, in table order, so its
+    checks (such as dt0 >= dtMin) see the final values; a failed check
+    raises ValueError or ConfigInvalid.
+    """
+    top, sections = {}, {}
+    for key, (attr, name, _) in _KEYS.items():
+        if key in kv and name is None:
+            top[attr] = kv[key]
+        elif key in kv:
+            sections.setdefault(attr, {})[name] = kv[key]
+    for attr, changes in sections.items():
+        top[attr] = replace(getattr(spec, attr), **changes)
+    return replace(spec, **top)
 
 
 def parse_config(text: str, mode: str, out_dir: Path = Path(".")) -> JobSpec:
@@ -130,120 +143,49 @@ def parse_config(text: str, mode: str, out_dir: Path = Path(".")) -> JobSpec:
         key, value = key.strip(), value.strip()
         if key in seen:
             raise ParseError(lineno, f"duplicate key {key!r}")
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ParseError(lineno, f"unknown key {key!r}")
         if not value:
             raise ParseError(lineno, f"empty value for {key!r}")
+        kind = _KEYS[key][2]
         try:
-            if key in _FLOAT_KEYS:
-                seen[key] = float(value)
-            elif key in _INT_KEYS:
-                seen[key] = int(value)
-            elif key in _LIST_KEYS:
+            if kind is tuple:
                 seen[key] = tuple(float(v) for v in value.split(","))
             else:
-                seen[key] = value
+                seen[key] = kind(value)
         except ValueError:
             raise ParseError(lineno, f"cannot parse value {value!r} for {key!r}")
-        if key in _FLOAT_KEYS | _LIST_KEYS and not np.isfinite(seen[key]).all():
+        if kind in (float, tuple) and not np.isfinite(seen[key]).all():
             raise ParseError(lineno, f"non-finite value {value!r} for {key!r}")
-    return _build_jobspec(mode, seen, out_dir)
-
-
-def _build_jobspec(mode: str, kv: dict, out_dir: Path) -> JobSpec:
     try:
-        params = SystemParams(
-            gamma=kv.get("params.gamma", 0.5),
-            kappa=kv.get("params.kappa", 1.0),
-            g1=kv.get("params.g1", 1.0),
-            g2=kv.get("params.g2", 1.0),
-            g=kv.get("params.g", 1.0),
-            dim=kv.get("params.dim", 3),
-        )
-        ic = GaussianIC(
-            ampU=kv.get("ic.A", 1.0),
-            ampV=kv.get("ic.B", 1.0),
-            widthU=kv.get("ic.a", 1.0),
-            widthV=kv.get("ic.b", 1.0),
-        )
-        run_cfg = RunConfig(
-            dt0=kv.get("run.dt0", 1e-4),
-            dtMin=kv.get("run.dt_min", 1e-8),
-            blowupRatio=kv.get("run.blowup_ratio", 100.0),
-            tMax=kv.get("run.t_max", 5.0),
-            sampleEvery=kv.get("run.sample_every", 100),
-            cnIterations=kv.get("run.cn_iterations", 2),
-        )
-        grid = RadialGrid(
-            L=kv.get("grid.L", DEFAULT_GRID.L), n=kv.get("grid.n", DEFAULT_GRID.n)
-        )
+        spec = _override(replace(_DEFAULTS, mode=mode, outputDir=Path(out_dir)), seen)
     except (ValueError, ConfigInvalid) as exc:
         raise ValidationError(str(exc)) from exc
-    sweep_axis = kv.get("sweep.axis")
-    sweep_values = kv.get("sweep.values")
-    sweep_target = kv.get("sweep.target", "simulate")
-    figure_id = kv.get("figure.id")
     if mode == "sweep":
-        if sweep_axis is None or sweep_values is None:
+        if spec.sweepAxis is None or spec.sweepValues is None:
             raise ValidationError("sweep mode needs sweep.axis and sweep.values")
-        if sweep_axis not in _SWEEP_AXES:
-            raise ValidationError(f"unsupported sweep axis {sweep_axis!r}")
-        if sweep_target not in ("simulate", "criteria"):
+        if spec.sweepAxis not in _SWEEP_AXES:
+            raise ValidationError(f"unsupported sweep axis {spec.sweepAxis!r}")
+        if spec.sweepTarget not in ("simulate", "criteria"):
             raise ValidationError(f"sweep.target must be simulate or criteria")
-        if len(set(sweep_values)) != len(sweep_values):
+        if len(set(spec.sweepValues)) != len(spec.sweepValues):
             raise ValidationError("sweep.values must not repeat a value")
     if mode == "figure":
-        if figure_id is None:
+        if spec.figureId is None:
             raise ValidationError("figure mode needs figure.id")
-        if figure_id not in FIGURE_IDS:
-            raise ValidationError(f"unknown figure id {figure_id!r}")
-    return JobSpec(
-        mode=mode,
-        params=params,
-        ic=ic,
-        runConfig=run_cfg,
-        grid=grid,
-        horizon=kv.get("criteria.horizon"),
-        samples=kv.get("criteria.samples", 4096),
-        sweepAxis=sweep_axis,
-        sweepValues=sweep_values,
-        sweepTarget=sweep_target,
-        figureId=figure_id,
-        outputDir=Path(out_dir),
-    )
+        if spec.figureId not in FIGURE_IDS:
+            raise ValidationError(f"unknown figure id {spec.figureId!r}")
+    return spec
 
 
 def serialize_jobspec(spec: JobSpec) -> str:
     """Config-document form of a JobSpec; parse_config round-trips it."""
-    lines = [
-        f"params.gamma = {spec.params.gamma!r}",
-        f"params.kappa = {spec.params.kappa!r}",
-        f"params.g1 = {spec.params.g1!r}",
-        f"params.g2 = {spec.params.g2!r}",
-        f"params.g = {spec.params.g!r}",
-        f"params.dim = {spec.params.dim}",
-        f"ic.A = {spec.ic.ampU!r}",
-        f"ic.B = {spec.ic.ampV!r}",
-        f"ic.a = {spec.ic.widthU!r}",
-        f"ic.b = {spec.ic.widthV!r}",
-        f"run.dt0 = {spec.runConfig.dt0!r}",
-        f"run.dt_min = {spec.runConfig.dtMin!r}",
-        f"run.blowup_ratio = {spec.runConfig.blowupRatio!r}",
-        f"run.t_max = {spec.runConfig.tMax!r}",
-        f"run.sample_every = {spec.runConfig.sampleEvery}",
-        f"run.cn_iterations = {spec.runConfig.cnIterations}",
-        f"grid.L = {spec.grid.L!r}",
-        f"grid.n = {spec.grid.n}",
-        f"criteria.samples = {spec.samples}",
-    ]
-    if spec.horizon is not None:
-        lines.append(f"criteria.horizon = {spec.horizon!r}")
-    if spec.sweepAxis is not None:
-        lines.append(f"sweep.axis = {spec.sweepAxis}")
-        lines.append("sweep.values = " + ",".join(repr(v) for v in spec.sweepValues))
-        lines.append(f"sweep.target = {spec.sweepTarget}")
-    if spec.figureId is not None:
-        lines.append(f"figure.id = {spec.figureId}")
+    lines = []
+    for key, (_, _, kind) in _KEYS.items():
+        value = _get(spec, key)
+        if value is not None:
+            text = ",".join(map(str, value)) if kind is tuple else str(value)
+            lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -310,7 +252,7 @@ def _run_criteria_job(spec: JobSpec, out: Path):
     """Write report.txt and criteria.csv; return the Theorem1/2 report or None."""
     params, ic = spec.params, spec.ic
     initial = gaussian_moments(ic, params)
-    horizon = spec.horizon or crit.default_horizon(params)
+    horizon = crit.default_horizon(params) if spec.horizon is None else spec.horizon
     lines = [
         "# column order in criteria.csv: see header row",
         f"phase = {classify_phase(params).value}",
@@ -377,17 +319,9 @@ def _run_simulate_job(spec: JobSpec, out: Path) -> RunOutcome:
     return outcome
 
 
-def _set_axis(spec: JobSpec, axis: str, value: float) -> JobSpec:
-    section, name = axis.split(".")
-    if section == "params":
-        return replace(spec, params=dataclasses.replace(spec.params, **{name: value}))
-    field_map = {"A": "ampU", "B": "ampV", "a": "widthU", "b": "widthV"}
-    return replace(spec, ic=dataclasses.replace(spec.ic, **{field_map[name]: value}))
-
-
 def _sweep_point(spec: JobSpec, out: Path, value: float):
     """Run one sweep point into its own directory: (value, outcome, time)."""
-    sub = _set_axis(spec, spec.sweepAxis, value)
+    sub = _override(spec, {spec.sweepAxis: value})
     name = repr(value).removesuffix(".0")  # unique per float; A=2, not A=2.0
     sub_dir = out / f"{spec.sweepAxis.split('.')[1]}={name}"
     sub_dir.mkdir(parents=True, exist_ok=True)
@@ -423,72 +357,47 @@ def _run_sweep_job(spec: JobSpec, out: Path, workers: int):
             fh.write(f"{_fmt(value)},{outcome},{_fmt(tval)}\n")
 
 
-# Parameter sets of the bundled reference scenarios, keyed by figure id.
-_FIG1_BASE = dict(gamma=0.5, kappa=1.0, g1=4.0, g2=-1.0, g=-0.5,
-                  A=5.8, B=1.3, a=1.0, b=1.0)
-_FIG2_BASE = dict(gamma=0.5, kappa=1.0, g1=1.0, g2=1.0, g=-0.5,
-                  A=4.0, B=2.0, a=0.3, b=0.1)
-_FIG3_BASE = dict(gamma=0.5, kappa=1.0, g1=1.0, g2=1.0, g=1.0,
-                  A=4.5, B=4.0, a=1.0, b=0.5)
+# The bundled reference scenarios, keyed by figure id: (target, config
+# keys set over the job's own, sweep axis, sweep values).
+_FIG1_BASE = {"params.gamma": 0.5, "params.kappa": 1.0, "params.g1": 4.0,
+              "params.g2": -1.0, "params.g": -0.5, "params.dim": 3,
+              "ic.A": 5.8, "ic.B": 1.3, "ic.a": 1.0, "ic.b": 1.0}
+_FIG2_BASE = {"params.gamma": 0.5, "params.kappa": 1.0, "params.g1": 1.0,
+              "params.g2": 1.0, "params.g": -0.5, "params.dim": 3,
+              "ic.A": 4.0, "ic.B": 2.0, "ic.a": 0.3, "ic.b": 0.1}
+_FIG3_BASE = {"params.gamma": 0.5, "params.kappa": 1.0, "params.g1": 1.0,
+              "params.g2": 1.0, "params.g": 1.0, "params.dim": 3,
+              "ic.A": 4.5, "ic.B": 4.0, "ic.a": 1.0, "ic.b": 0.5}
 
 FIGURES = {
     "fig1a": ("criteria", _FIG1_BASE, "ic.B", (1.3, 2.6, 3.9)),
-    "fig1b": ("criteria", {**_FIG1_BASE, "B": 0.9}, "params.gamma", (0.15, 0.3, 0.45)),
-    "fig1c": ("criteria", {**_FIG1_BASE, "B": 0.9}, "params.kappa", (0.4, 0.8, 1.2)),
+    "fig1b": ("criteria", {**_FIG1_BASE, "ic.B": 0.9}, "params.gamma", (0.15, 0.3, 0.45)),
+    "fig1c": ("criteria", {**_FIG1_BASE, "ic.B": 0.9}, "params.kappa", (0.4, 0.8, 1.2)),
     "fig2": ("criteria", _FIG2_BASE, None, None),
     "fig3a": ("simulate", _FIG3_BASE, "params.g", (1.0, -1.0, -2.0)),
-    "fig3b": ("simulate", {**_FIG3_BASE, "gamma": 1.5}, "params.g", (1.0, -1.0, -2.0)),
-    "fig3c": (
-        "simulate",
-        {**_FIG3_BASE, "A": 0.5, "B": 2.7, "a": 0.3, "b": 0.3, "g": 1.0},
-        "params.gamma",
-        (0.5, 1.5),
-    ),
-    "fig4a": (
-        "simulate",
-        {**_FIG3_BASE, "B": 1.0, "a": 1.0, "b": 0.5, "g": 1.0},
-        "ic.A",
-        (3.0, 6.0),
-    ),
-    "fig4b": (
-        "simulate",
-        {**_FIG3_BASE, "A": 1.0, "B": 1.0, "a": 1.0, "b": 0.5, "g": 1.0},
-        "params.gamma",
-        (0.5, 0.9),
-    ),
+    "fig3b": ("simulate", {**_FIG3_BASE, "params.gamma": 1.5},
+              "params.g", (1.0, -1.0, -2.0)),
+    "fig3c": ("simulate",
+              {**_FIG3_BASE, "ic.A": 0.5, "ic.B": 2.7, "ic.a": 0.3, "ic.b": 0.3},
+              "params.gamma", (0.5, 1.5)),
+    "fig4a": ("simulate", {**_FIG3_BASE, "ic.B": 1.0}, "ic.A", (3.0, 6.0)),
+    "fig4b": ("simulate", {**_FIG3_BASE, "ic.A": 1.0, "ic.B": 1.0},
+              "params.gamma", (0.5, 0.9)),
 }
+FIGURE_IDS = tuple(FIGURES)
 
 # fig2 runs its three input variants rather than a single axis.
-_FIG2_VARIANTS = (("a", {}), ("c", {"B": 3.0}), ("e", {"b": 0.16}))
-
-
-def _apply_figure(spec: JobSpec, figure_id: str) -> JobSpec:
-    _, base, _, _ = FIGURES[figure_id]
-    params = dataclasses.replace(
-        spec.params,
-        gamma=base["gamma"],
-        kappa=base["kappa"],
-        g1=base["g1"],
-        g2=base["g2"],
-        g=base["g"],
-        dim=3,
-    )
-    ic = GaussianIC(ampU=base["A"], ampV=base["B"], widthU=base["a"], widthV=base["b"])
-    return replace(spec, params=params, ic=ic)
+_FIG2_VARIANTS = (("a", {}), ("c", {"ic.B": 3.0}), ("e", {"ic.b": 0.16}))
 
 
 def _run_figure_job(spec: JobSpec, out: Path, workers: int):
-    fig = spec.figureId
-    target, _, axis, values = FIGURES[fig]
-    base = _apply_figure(spec, fig)
-    if fig == "fig2":
-        for tag, override in _FIG2_VARIANTS:
-            sub = base
-            for k, v in override.items():
-                sub = _set_axis(sub, f"ic.{k}", v)
+    target, base, axis, values = FIGURES[spec.figureId]
+    base = _override(spec, base)
+    if spec.figureId == "fig2":
+        for tag, variant in _FIG2_VARIANTS:
             sub_dir = out / f"panel_{tag}"
             sub_dir.mkdir(parents=True, exist_ok=True)
-            _run_criteria_job(sub, sub_dir)
+            _run_criteria_job(_override(base, variant), sub_dir)
         return
     sweep = replace(
         base, sweepAxis=axis, sweepValues=values, sweepTarget=target, mode="sweep"

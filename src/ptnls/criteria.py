@@ -112,6 +112,15 @@ def default_horizon(params: SystemParams) -> float:
     return 4.0 / params.gamma
 
 
+def _horizon(params: SystemParams, horizon: Optional[float]) -> float:
+    """horizon, or the default one if it is None; ValueError unless > 0."""
+    if horizon is None:
+        return default_horizon(params)
+    if not horizon > 0:
+        raise ValueError("horizon must be > 0")
+    return horizon
+
+
 def F_function(initial: InitialFunctionals, params: SystemParams, t):
     """Width bound F(t) built from the t=0 functionals."""
     if not params.gamma > 0:
@@ -206,7 +215,7 @@ def _first_hit(kind, trace, ok, pred, initial, cc) -> CriterionReport:
     if not ok.any():
         return CriterionReport(kind, False, None, trace, initial, cc)
     i = int(np.argmax(ok))
-    t0 = _bisect(pred, trace["t"][i - 1], trace["t"][i])
+    t0 = _bisect(pred, float(trace["t"][i - 1]), float(trace["t"][i]))
     return CriterionReport(kind, True, t0, trace, initial, cc)
 
 
@@ -219,8 +228,7 @@ def check_theorem1(
     """Scan (0, horizon] for a time where F + 1 < 0 and G < 1 jointly hold."""
     _require_supercritical(params)
     cc = _require_c2(params)
-    if horizon is None:
-        horizon = default_horizon(params)
+    horizon = _horizon(params, horizon)
     t = np.linspace(0.0, horizon, samples + 1)
     # The conjunction window can be much narrower than the scan spacing when
     # the energy is deeply negative; the threshold-lemma bracket endpoint
@@ -343,8 +351,7 @@ def check_theorem2(
     samples: int = _DEFAULT_SAMPLES,
 ) -> CriterionReport:
     """Find the smallest positive zero of Z within the horizon, if any."""
-    if horizon is None:
-        horizon = default_horizon(params)
+    horizon = _horizon(params, horizon)
     t = np.linspace(0.0, horizon, samples + 1)
     Z = early_collapse_Z(initial, params, t)
     return _first_hit(
@@ -425,8 +432,7 @@ def check_manakov_theorem(
     _require_manakov(params)
     if not params.g > 0:
         raise RegimeViolation(f"Manakov check needs g > 0, got g={params.g}")
-    if horizon is None:
-        horizon = default_horizon(params)
+    horizon = _horizon(params, horizon)
     cc, N = constants(params), params.dim
     a = (8 * N / (N + 2)) * (initial.energy - params.kappa * initial.s1)
     F, peak = partial(manakov_F, initial, params), _vertex(initial.mswRate, a)

@@ -82,6 +82,39 @@ class TestParseConfig:
         assert spec.ic.ampU == 4.0 and spec.ic.widthV == 0.1
         assert spec.runConfig.tMax == 5.0
         assert spec.grid.n == 7999
+        # every field that MINIMAL leaves out, written out here rather than
+        # read from cli._DEFAULTS, so a changed default fails this test
+        assert spec == JobSpec(
+            mode="criteria",
+            params=SystemParams(gamma=0.5, kappa=1.0, g1=1.0, g2=1.0, g=1.0, dim=3),
+            ic=GaussianIC(ampU=4.0, ampV=2.0, widthU=0.3, widthV=0.1),
+            runConfig=RunConfig(dt0=1e-4, dtMin=1e-8, blowupRatio=100.0, tMax=5.0,
+                                sampleEvery=100, cnIterations=2),
+            grid=RadialGrid(L=16.0, n=7999),
+            horizon=None,
+            samples=4096,
+            sweepAxis=None,
+            sweepValues=None,
+            sweepTarget="simulate",
+            figureId=None,
+            outputDir=Path("."),
+        )
+        assert parse_config("", "criteria") == replace(
+            spec, params=SystemParams(gamma=0.5, kappa=1.0),
+            ic=GaussianIC(ampU=1.0, ampV=1.0, widthU=1.0, widthV=1.0),
+        )
+
+    def test_dt_checks_see_both_values_in_either_order(self):
+        # valid pairs; set one key at a time over the defaults (dt0 = 1e-4,
+        # dtMin = 1e-8), dt_min = 1e-3 first or dt0 = 1e-9 first would fail
+        # dt0 >= dtMin, so whichever key goes first, one pair fails
+        for text, dts in [("run.dt_min = 1e-3\nrun.dt0 = 1e-2\n", (1e-2, 1e-3)),
+                          ("run.dt0 = 1e-2\nrun.dt_min = 1e-3\n", (1e-2, 1e-3)),
+                          ("run.dt_min = 1e-10\nrun.dt0 = 1e-9\n", (1e-9, 1e-10))]:
+            spec = parse_config(text, "simulate")
+            assert (spec.runConfig.dt0, spec.runConfig.dtMin) == dts
+        with pytest.raises(ValidationError, match="dt0 >= dtMin"):
+            parse_config("run.dt_min = 1e-3\n", "simulate")  # dt0 = 1e-4
 
     def test_comments_and_blank_lines_ignored(self):
         spec = parse_config("\n# note\nparams.gamma = 0.25 # inline\n", "criteria")
@@ -150,6 +183,18 @@ class TestCsv:
         assert all(line.count(",") == 2 for line in lines)
 
 
+def _assert_plain_values(report: str):
+    """Every value of a report.txt is a number, None, True or False."""
+    for line in report.splitlines():
+        if line.startswith("#"):
+            continue
+        key, _, value = line.partition(" = ")
+        if key == "phase":  # the one label
+            continue
+        if value not in ("None", "True", "False"):
+            float(value)  # raises on a numpy repr such as np.float64(0.5)
+
+
 class TestModes:
     def test_criteria_focusing(self, tmp_path):
         spec = parse_config(MINIMAL + "params.g = -0.5\n", "criteria", tmp_path)
@@ -172,7 +217,8 @@ class TestModes:
         header, data = read_csv(tmp_path / "criteria.csv")
         assert header == ["t", "Z"]
         report = (tmp_path / "report.txt").read_text()
-        assert "theorem2.satisfied" in report
+        assert "theorem2.satisfied = True" in report
+        _assert_plain_values(report)
 
     def test_criteria_manakov_report(self, tmp_path):
         spec = parse_config(MINIMAL, "criteria", tmp_path)  # g1=g2=g=1
@@ -303,6 +349,17 @@ class TestInputErrors:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
     def test_library_errors_mapped_to_validation(self, tmp_path, mode, text):
         assert self._main(tmp_path, mode, text) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    @pytest.mark.parametrize("text", [
+        MINIMAL,  # Theorem 1 and the Manakov check
+        "params.g1 = 4\nparams.g2 = -1\nparams.g = -0.5\nic.A = 5.8\nic.B = 0.9\n",
+    ], ids=["focusing", "early-collapse"])
+    def test_non_positive_horizon_rejected(self, tmp_path, text, horizon):
+        spec = parse_config(text + f"criteria.horizon = {horizon}\n", "criteria")
+        assert spec.horizon == float(horizon)  # parsed as given, rejected on use
+        code = self._main(tmp_path, "criteria", text + f"criteria.horizon = {horizon}\n")
+        assert code == EXIT_VALIDATION
 
     def test_sweep_duplicate_values_rejected(self, tmp_path):
         text = MINIMAL + "sweep.axis = ic.B\nsweep.values = 2,3,2.0\n"
@@ -544,3 +601,68 @@ def test_jobspec_round_trips_and_pickles(spec):
     # the sweep pool ships this object to its workers
     assert parse_config(serialize_jobspec(spec), spec.mode, spec.outputDir) == spec
     assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+_SIMULATE_FREE_KEYS = (
+    "params.gamma", "params.kappa", "params.g1", "params.g2", "params.g",
+    "ic.A", "ic.B", "ic.a", "ic.b", "run.blowup_ratio", "grid.L",
+)
+_ANY_FLOAT = st.one_of(st.floats(0.05, 6), st.floats(-6, 6),
+                       st.sampled_from(_EXTREMES), st.floats())
+
+
+# No example can run long: grid.n <= 127, run.cn_iterations <= 3,
+# run.t_max <= 0.5 (or one of _EXTREMES), run.t_max/run.dt0 <= 40 and
+# run.dt0/run.dt_min <= 16.  dt never grows, so a run takes at most
+# t_max/dt_min <= 640 accepted steps plus four rejections, whatever t_max is.
+# A ratio t_max/dt0 below 1 gives one step, clipped to the horizon.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme inputs overflow
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    values=st.dictionaries(st.sampled_from(_SIMULATE_FREE_KEYS), _ANY_FLOAT, max_size=3),
+    t_max=st.one_of(st.floats(1e-3, 0.5), st.sampled_from(_EXTREMES)),
+    steps=st.floats(0.5, 40),
+    halvings=st.floats(1, 16),
+    n=st.integers(16, 127),
+    sample_every=st.integers(1, 50),
+    cn_iterations=st.integers(1, 3),
+    dim=st.sampled_from([3] * 5 + [1, 4, 10**400]),
+)
+def test_simulate_exits_with_a_documented_code(values, t_max, steps, halvings, n,
+                                               sample_every, cn_iterations, dim):
+    dt0 = t_max / steps
+    values = {**values, "run.t_max": t_max, "run.dt0": dt0, "run.dt_min": dt0 / halvings}
+    text = "".join(f"{k} = {v!r}\n" for k, v in values.items())
+    text += (f"grid.n = {n}\nrun.sample_every = {sample_every}\n"
+             f"run.cn_iterations = {cn_iterations}\nparams.dim = {dim}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "job.cfg"
+        cfg.write_text(text)
+        code = main(["simulate", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        if code == EXIT_OK:  # the run ended on or before its horizon
+            outcome = (Path(tmp) / "out" / "outcome.txt").read_text()
+            t_stop = float(re.search(r"tStop = (.*)", outcome).group(1))
+            assert t_stop <= t_max, outcome
+    if all(math.isfinite(v) for v in values.values()):
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_SOLVER)
+    else:
+        assert code == EXIT_PARSE
+
+
+def _readme_key_table():
+    """{key: default cell} from the key table in README's CLI section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` \| ([^|]+) \|", section, flags=re.M)
+    return {key: cell.strip() for key, cell in rows}
+
+
+def test_readme_documents_every_key_and_default():
+    table = _readme_key_table()
+    assert list(table) == list(cli._KEYS)
+    for key, cell in table.items():
+        default = cli._get(cli._DEFAULTS, key)
+        if cell.startswith("none"):
+            assert default is None, key
+        else:
+            assert cli._KEYS[key][2](cell.strip("`")) == default, key

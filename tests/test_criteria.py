@@ -163,6 +163,7 @@ class TestTheorem1:
         rep = check_theorem1(ini, params(gamma=0.5, kappa=1.0))
         assert rep.satisfied
         t0 = rep.certifiedTime
+        assert type(t0) is float  # a numpy scalar prints as np.float64(...)
         p = params(gamma=0.5, kappa=1.0)
         assert F_function(ini, p, t0) + 1 < 0
         assert G_function(ini, p, t0) < 1
@@ -325,6 +326,7 @@ class TestEarlyCollapse:
         rep = check_theorem2(ini, p)
         assert rep.satisfied
         t_star = rep.certifiedTime
+        assert type(t_star) is float
         assert early_collapse_Z(ini, p, t_star) <= 0
         assert early_collapse_Z(ini, p, 0.9 * t_star) > 0
 
@@ -418,7 +420,7 @@ class TestManakov:
         ini = make_initial(s0=1.0, energy=-2000.0, msw=0.01)
         p = params(gamma=0.5, kappa=1.0)
         rep = check_manakov_theorem(ini, p)
-        assert rep.satisfied
+        assert rep.satisfied and type(rep.certifiedTime) is float
         assert manakov_F(ini, p, rep.certifiedTime) + 1 < 0
 
     def test_manakov_check_trace_formula(self):
@@ -455,3 +457,15 @@ class TestManakov:
             check_manakov_theorem(
                 make_initial(), params(g1=-1.0, g2=-1.0, g=-1.0)
             )
+
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0])
+@pytest.mark.parametrize("check, p", [
+    (check_theorem1, params()),
+    (check_theorem2, params(g1=4.0, g2=-1.0, g=-0.5)),
+    (check_manakov_theorem, params()),
+], ids=["theorem1", "theorem2", "manakov"])
+def test_non_positive_horizon_rejected(check, p, horizon):
+    with pytest.raises(ValueError, match="horizon must be > 0"):
+        check(make_initial(), p, horizon)
