@@ -112,13 +112,17 @@ def default_horizon(params: SystemParams) -> float:
     return 4.0 / params.gamma
 
 
-def _horizon(params: SystemParams, horizon: Optional[float]) -> float:
-    """horizon, or the default one if it is None; ValueError unless > 0."""
-    if horizon is None:
-        return default_horizon(params)
+def _setup(initial: InitialFunctionals, params: SystemParams, horizon, samples):
+    """The horizon (4/gamma if None) and the samples + 1 trace times of a
+    check; ValueError unless horizon > 0, samples >= 0 and X0, S0 >= 0."""
+    horizon = default_horizon(params) if horizon is None else horizon
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    return horizon
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
+    if not (initial.msw >= 0 and initial.s0 >= 0):
+        raise ValueError(f"X0 and S0 must be >= 0, got {initial.msw}, {initial.s0}")
+    return float(horizon), np.linspace(0.0, horizon, samples + 1)
 
 
 def F_function(initial: InitialFunctionals, params: SystemParams, t):
@@ -141,48 +145,38 @@ def F_function(initial: InitialFunctionals, params: SystemParams, t):
     return val if val.ndim else float(val)
 
 
-def _vertex(Y0, a):
-    """Maximum point of X0 + Y0 t + a t^2 on t > 0, or None."""
-    return -Y0 / (2 * a) if Y0 > 0 and a < 0 else None
-
-
-def _F_peak(initial: InitialFunctionals, params: SystemParams, t_end):
-    """First root r1 of F' in (0, t_end], F's only interior maximum, or None.
-
-    F'' = (16N/(N+2)) E0 + 16 kappa S0 e^{2 gamma t} is non-decreasing for
-    S0 >= 0, so F' is convex and least at t_low, where F'' = 0.
-    """
+def _F_falls(initial: InitialFunctionals, params: SystemParams, horizon):
+    """The piece of [0, horizon] on which F falls, or None.  F' is convex for
+    S0 >= 0, as F'' = (16N/(N+2)) E0 + 16 kappa S0 e^{2 gamma t} never falls:
+    F' falls until F'' = 0 and rises after."""
     N, gamma, kappa, S0 = params.dim, params.gamma, params.kappa, initial.s0
     Y0, a = initial.mswRate, (8 * N / (N + 2)) * initial.energy
     if S0 < 0:
         raise ValueError("the running supremum of F needs S0 >= 0")
-    # F is quadratic when S0 = 0.  Otherwise F' > Y0 + 2at, so r1 lies past
-    # that vertex and exists only if it does.  F_function rejects gamma = 0.
-    vertex = _vertex(Y0, a)
-    if S0 == 0 or vertex is None or not gamma > 0:
-        return vertex
+    if not gamma > 0:
+        raise RegimeViolation("F is defined for gamma > 0 (it divides by gamma)")
 
-    def dF(t):
-        return Y0 + 2 * a * t + (8 * kappa * S0 / gamma) * math.expm1(2 * gamma * t)
+    def slope(t):  # F'(t) e^{-2 gamma t}: the sign of F', without overflow
+        return ((Y0 + 2 * a * t) * math.exp(-2 * gamma * t)
+                - (8 * kappa * S0 / gamma) * math.expm1(-2 * gamma * t))
 
-    hi = min(t_end, math.log(-a / (8 * kappa * S0)) / (2 * gamma))  # t_low
-    if not (hi > vertex and dF(hi) <= 0):
-        return None
-    return _bisect(lambda t: dF(t) <= 0, vertex, hi)
+    low = (0.0 if a >= 0 else math.inf if S0 == 0
+           else math.log(-a / (8 * kappa * S0)) / (2 * gamma))
+    return _falling_piece(slope, low, horizon)
 
 
-def _running_sup(F, t, peak):
-    """sup of F over [0, t] when peak is F's only interior local maximum."""
+def _running_sup(F, t, piece):
+    """sup of F over [0, t] when F falls on piece (or None) and rises elsewhere."""
     sup = np.maximum(F(0.0), F(t))
-    if peak is not None:
-        sup = np.where(np.asarray(t) >= peak, np.maximum(sup, F(peak)), sup)
+    if piece is not None:  # F peaks where piece starts
+        sup = np.where(np.asarray(t) >= piece[0], np.maximum(sup, F(piece[0])), sup)
     return sup
 
 
 def M_function(initial: InitialFunctionals, params: SystemParams, t):
     """M(t) = sup over [0,t] of F + 1, exact from F(0), F(t) and F's peak."""
-    peak = _F_peak(initial, params, np.max(t))
-    out = _running_sup(partial(F_function, initial, params), t, peak) + 1.0
+    piece = _F_falls(initial, params, float(np.max(t)))
+    out = _running_sup(partial(F_function, initial, params), t, piece) + 1.0
     return out if np.ndim(out) else float(out)
 
 
@@ -196,10 +190,11 @@ def G_function(initial: InitialFunctionals, params: SystemParams, t):
 
 
 def _bisect(pred, lo, hi, tol=_TIME_TOL):
-    """Smallest t in (lo, hi] with pred(t) true, assuming pred(hi) is true.
-
-    Stops early where the float spacing at hi exceeds tol: no midpoint is left.
-    """
+    """Smallest t in (lo, hi] with pred(t) true, for a pred that stays true
+    once it is; None if pred(hi) is false.  Stops early where the float
+    spacing at hi exceeds tol: no midpoint is left."""
+    if not pred(hi):
+        return None
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if pred(mid):
             hi = mid
@@ -208,15 +203,16 @@ def _bisect(pred, lo, hi, tol=_TIME_TOL):
     return hi
 
 
-def _first_hit(kind, trace, ok, pred, initial, cc) -> CriterionReport:
-    """The first t > 0 where pred holds, bisected between the scan samples
-    trace["t"] around the first one that ok marks."""
-    ok[0] = False
-    if not ok.any():
-        return CriterionReport(kind, False, None, trace, initial, cc)
-    i = int(np.argmax(ok))
-    t0 = _bisect(pred, float(trace["t"][i - 1]), float(trace["t"][i]))
-    return CriterionReport(kind, True, t0, trace, initial, cc)
+def _falling_piece(slope, low, horizon):
+    """The piece [r1, r2] of [0, horizon] on which a function falls, or None:
+    slope has the sign of the function's derivative, which falls up to low
+    and rises after it, so slope is negative on one interval at most."""
+    low = min(max(low, 0.0), horizon)
+    if not slope(low) < 0:
+        return None
+    r1 = 0.0 if slope(0.0) <= 0 else _bisect(lambda t: slope(t) < 0, 0.0, low)
+    r2 = _bisect(lambda t: slope(t) >= 0, low, horizon)
+    return r1, horizon if r2 is None else r2
 
 
 def check_theorem1(
@@ -225,24 +221,19 @@ def check_theorem1(
     horizon: Optional[float] = None,
     samples: int = _DEFAULT_SAMPLES,
 ) -> CriterionReport:
-    """Scan (0, horizon] for a time where F + 1 < 0 and G < 1 jointly hold."""
-    _require_supercritical(params)
+    """The first time in (0, horizon] where F + 1 < 0 and G < 1 jointly hold.
+
+    As F(0) = X0 >= 0 and G never falls (M >= 1 + X0 > 0 never does), that
+    is the first tF on F's falling piece with F + 1 < 0, if G(tF) < 1.
+    samples sets only the trace resolution."""
     cc = _require_c2(params)
-    horizon = _horizon(params, horizon)
-    t = np.linspace(0.0, horizon, samples + 1)
-    # The conjunction window can be much narrower than the scan spacing when
-    # the energy is deeply negative; the threshold-lemma bracket endpoint
-    # T0max (which depends only on X(0) and the constants) localizes it, so
-    # scan that early region densely as well.
-    t0_max = _t0_bracket(initial.msw, 0.0, params, cc)[0]
-    early = np.linspace(0.0, min(horizon, 1.5 * t0_max), samples + 1)
-    t = np.unique(np.concatenate([t, early]))
+    horizon, t = _setup(initial, params, horizon, samples)
     F, G = partial(F_function, initial, params), partial(G_function, initial, params)
     trace = {"t": t, "F": F(t), "M": M_function(initial, params, t), "G": G(t)}
-    return _first_hit(
-        "Theorem1", trace, (trace["F"] + 1 < 0) & (trace["G"] < 1),
-        lambda tt: F(tt) + 1 < 0 and G(tt) < 1, initial, cc,
-    )
+    piece = _F_falls(initial, params, horizon)
+    t0 = _bisect(lambda tt: F(tt) + 1 < 0, *piece) if piece else None
+    ok = t0 is not None and G(t0) < 1
+    return CriterionReport("Theorem1", ok, t0 if ok else None, trace, initial, cc)
 
 
 def _t0_bracket(X0: float, C0: float, params: SystemParams, cc: CriterionConstants):
@@ -255,7 +246,6 @@ def _t0_bracket(X0: float, C0: float, params: SystemParams, cc: CriterionConstan
 
 def lemma1_threshold(initial: InitialFunctionals, params: SystemParams) -> dict:
     """Negative-energy threshold: blowup certified when E(0) is below the bound."""
-    _require_supercritical(params)
     cc = _require_c2(params)
     gamma, kappa = params.gamma, params.kappa
     N = params.dim
@@ -273,7 +263,6 @@ def lemma1_threshold(initial: InitialFunctionals, params: SystemParams) -> dict:
 
 def lemma2_threshold(initial: InitialFunctionals, params: SystemParams) -> dict:
     """Negative-Y(0) threshold with the redefined constant C0."""
-    _require_supercritical(params)
     cc = _require_c2(params)
     gamma, kappa = params.gamma, params.kappa
     N = params.dim
@@ -301,6 +290,23 @@ def energy_growth_bound(initial: InitialFunctionals, params: SystemParams, t):
     return out if out.ndim else float(out)
 
 
+def _z_terms(initial: InitialFunctionals, params: SystemParams):
+    """c4, lam, alpha, beta, A1 and A2 of the early-collapse bound, where
+    inner(s) = 4N int_0^s e^{c4 sig} (E_max(sig) + kappa S0 e^{2 gamma sig}) dsig
+             = 4N int_0^s e^{lam sig} (alpha + beta sig) dsig
+             = 4N [A1 (e^{lam s} - 1) + A2 s e^{lam s}]."""
+    c4 = constants(params).c4
+    if not in_early_collapse_regime(params):
+        raise RegimeViolation(
+            "early collapse needs g1 > 0, g2 <= 0, g <= 0; got "
+            f"g1={params.g1}, g2={params.g2}, g={params.g}"
+        )
+    lam = c4 + 2 * params.gamma
+    alpha = initial.energy + params.kappa * initial.s0
+    beta = 2 * params.kappa * params.gamma * initial.s0
+    return c4, lam, alpha, beta, alpha / lam - beta / lam**2, beta / lam
+
+
 def early_collapse_Z(initial: InitialFunctionals, params: SystemParams, t):
     """Upper width bound Z(t) for the early-collapse regime, in closed form.
 
@@ -308,34 +314,17 @@ def early_collapse_Z(initial: InitialFunctionals, params: SystemParams, t):
     are integrated exactly (the tests compare against nested adaptive
     quadrature).
     """
-    _require_supercritical(params)
-    if not in_early_collapse_regime(params):
-        raise RegimeViolation(
-            "early collapse needs g1 > 0, g2 <= 0, g <= 0; got "
-            f"g1={params.g1}, g2={params.g2}, g={params.g}"
-        )
+    c4, lam, _, _, A1, A2 = _z_terms(initial, params)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    N = params.dim
-    gamma, kappa = params.gamma, params.kappa
-    cc = constants(params)
-    c4 = cc.c4
-    X0, Y0, E0, S0 = initial.msw, initial.mswRate, initial.energy, initial.s0
-
-    # inner(s) = 4N int_0^s e^{c4 sig} (E_max(sig) + kappa S0 e^{2 gamma sig}) dsig
-    #          = 4N int_0^s e^{lam sig} (alpha + beta sig) dsig
-    lam = c4 + 2 * gamma
-    alpha = E0 + kappa * S0
-    beta = 2 * kappa * gamma * S0
-    # e^{-2 c4 s} * inner(s) = 4N [ (alpha/lam - beta/lam^2)(e^{mu s} - e^{-2 c4 s})
-    #                               + (beta/lam) s e^{mu s} ],  mu = 2 gamma - c4 < 0
+    N, X0, Y0 = params.dim, initial.msw, initial.mswRate
+    # e^{-2 c4 s} * inner(s) = 4N [ A1 (e^{mu s} - e^{-2 c4 s}) + A2 s e^{mu s} ],
+    # mu = 2 gamma - c4 < 0
     mu = lam - 2 * c4
-    A1 = alpha / lam - beta / lam**2
-    A2 = beta / lam
-    int_emu = (np.exp(mu * t) - 1) / mu
-    int_edecay = (1 - np.exp(-2 * c4 * t)) / (2 * c4)
-    int_semu = t * np.exp(mu * t) / mu - (np.exp(mu * t) - 1) / mu**2
+    int_emu = np.expm1(mu * t) / mu
+    int_edecay = -np.expm1(-2 * c4 * t) / (2 * c4)
+    int_semu = t * np.exp(mu * t) / mu - np.expm1(mu * t) / mu**2
     out = (
         X0
         + (Y0 - c4 * X0) * int_edecay
@@ -350,15 +339,25 @@ def check_theorem2(
     horizon: Optional[float] = None,
     samples: int = _DEFAULT_SAMPLES,
 ) -> CriterionReport:
-    """Find the smallest positive zero of Z within the horizon, if any."""
-    horizon = _horizon(params, horizon)
-    t = np.linspace(0.0, horizon, samples + 1)
-    Z = early_collapse_Z(initial, params, t)
-    return _first_hit(
-        "Theorem2", {"t": t, "Z": Z}, Z <= 0,
-        lambda tt: early_collapse_Z(initial, params, tt) <= 0,
-        initial, constants(params),
-    )
+    """The smallest positive zero of Z within the horizon, if any.
+
+    Z' = e^{-2 c4 t} h(t) with h = Y0 - c4 X0 + inner, whose derivative
+    4N e^{lam t} (alpha + beta t) has beta >= 0: h falls until -alpha/beta
+    and rises after.  Z(0) = X0 >= 0, so Z's first zero lies on its falling
+    piece.  samples sets only the trace resolution."""
+    horizon, t = _setup(initial, params, horizon, samples)
+    c4, lam, alpha, beta, A1, A2 = _z_terms(initial, params)
+    h0, N = initial.mswRate - c4 * initial.msw, params.dim
+
+    def slope(tt):  # h(t) e^{-lam t}: the sign of Z', without overflow
+        return h0 * math.exp(-lam * tt) - 4 * N * (A1 * math.expm1(-lam * tt) - A2 * tt)
+
+    low = -alpha / beta if beta > 0 else math.inf if alpha < 0 else 0.0
+    Z = partial(early_collapse_Z, initial, params)
+    piece = _falling_piece(slope, low, horizon)
+    t0 = _bisect(lambda tt: Z(tt) <= 0, *piece) if piece else None
+    return CriterionReport("Theorem2", t0 is not None, t0, {"t": t, "Z": Z(t)},
+                           initial, constants(params))
 
 
 def _require_manakov(params: SystemParams):
@@ -432,21 +431,22 @@ def check_manakov_theorem(
     _require_manakov(params)
     if not params.g > 0:
         raise RegimeViolation(f"Manakov check needs g > 0, got g={params.g}")
-    horizon = _horizon(params, horizon)
+    horizon, t = _setup(initial, params, horizon, samples)
     cc, N = constants(params), params.dim
     a = (8 * N / (N + 2)) * (initial.energy - params.kappa * initial.s1)
-    F, peak = partial(manakov_F, initial, params), _vertex(initial.mswRate, a)
+    F = partial(manakov_F, initial, params)
+    # F-hat' = Y0 + 2at is linear: it falls for ever if a < 0 and rises if not
+    piece = _falling_piece(lambda tt: initial.mswRate + 2 * a * tt,
+                           math.inf if a < 0 else 0.0, horizon)
 
     def M(tt):
-        return _running_sup(F, tt, peak) + 1.0
+        return _running_sup(F, tt, piece) + 1.0
 
     def G(tt):
         exponent = 48 * N * params.gamma * tt / (N + 2)
         return M(tt) * (cc.c1 * tt**2 / 2 + np.exp(exponent) - 1.0)
 
-    t = np.linspace(0.0, horizon, samples + 1)
     trace = {"t": t, "F": F(t), "M": M(t), "G": G(t)}
-    return _first_hit(
-        "Manakov", trace, (trace["F"] + 1 < 0) & (trace["G"] < 1),
-        lambda tt: F(tt) + 1 < 0 and G(tt) < 1, initial, cc,
-    )
+    t0 = _bisect(lambda tt: F(tt) + 1 < 0, *piece) if piece else None
+    ok = t0 is not None and bool(G(t0) < 1)
+    return CriterionReport("Manakov", ok, t0 if ok else None, trace, initial, cc)

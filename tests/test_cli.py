@@ -206,6 +206,21 @@ class TestModes:
         assert "theorem1.satisfied" in report
         assert "lemma1.satisfied" in report
 
+    def test_criteria_verdict_does_not_depend_on_samples(self, tmp_path):
+        # certified at T0 = 0.0047641; a scan of 0 or 1 samples missed it
+        text = MINIMAL.replace("ic.B = 2", "ic.B = 6") + "params.g = -0.5\n"
+        lines = {}
+        for samples in (0, 1, 2, 4096):
+            out = tmp_path / str(samples)
+            spec = parse_config(text + f"criteria.samples = {samples}\n", "criteria", out)
+            assert run_job(spec) == EXIT_OK
+            report = (out / "report.txt").read_text().splitlines()
+            lines[samples] = [ln for ln in report if ln.startswith("theorem1.")]
+            _, data = read_csv(out / "criteria.csv")
+            assert len(data["t"]) == samples + 1
+        assert lines[0][0] == "theorem1.satisfied = True"
+        assert lines[0] == lines[1] == lines[2] == lines[4096]
+
     def test_criteria_early_collapse(self, tmp_path):
         text = (
             "params.gamma = 0.5\nparams.kappa = 1\n"
@@ -360,6 +375,15 @@ class TestInputErrors:
         assert spec.horizon == float(horizon)  # parsed as given, rejected on use
         code = self._main(tmp_path, "criteria", text + f"criteria.horizon = {horizon}\n")
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("text", [
+        MINIMAL,  # Theorem 1 and the Manakov check
+        "params.g1 = 4\nparams.g2 = -1\nparams.g = -0.5\nic.A = 5.8\nic.B = 1.3\n",
+    ], ids=["focusing", "early-collapse"])
+    def test_negative_samples_rejected(self, tmp_path, capsys, text):
+        code = self._main(tmp_path, "criteria", text + "criteria.samples = -1\n")
+        assert code == EXIT_VALIDATION
+        assert "samples must be >= 0" in capsys.readouterr().err
 
     def test_sweep_duplicate_values_rejected(self, tmp_path):
         text = MINIMAL + "sweep.axis = ic.B\nsweep.values = 2,3,2.0\n"

@@ -2,11 +2,14 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 import ptnls
 from ptnls import (
@@ -181,6 +184,17 @@ class TestTheorem1:
         ini = make_initial(s0=1.0, energy=5.0, msw=1.0)
         rep = check_theorem1(ini, params())
         assert not rep.satisfied and rep.certifiedTime is None
+
+    def test_narrow_window_certified(self):
+        # F + 1 < 0 from t = 0.0415692216 on and G < 1 up to 0.0415692305: the
+        # window is 8.9e-9 wide, far narrower than the spacing of any scan
+        ini = make_initial(s0=1.0, energy=0.0, msw=0.5, mswRate=-36.4216)
+        p = params()
+        for samples in (0, 1, 4096):
+            rep = check_theorem1(ini, p, samples=samples)
+            assert rep.satisfied, samples
+            t0 = rep.certifiedTime
+            assert F_function(ini, p, t0) + 1 < 0 and G_function(ini, p, t0) < 1
 
     def test_regime_violation(self):
         with pytest.raises(RegimeViolation):
@@ -421,6 +435,7 @@ class TestManakov:
         p = params(gamma=0.5, kappa=1.0)
         rep = check_manakov_theorem(ini, p)
         assert rep.satisfied and type(rep.certifiedTime) is float
+        assert type(rep.satisfied) is bool
         assert manakov_F(ini, p, rep.certifiedTime) + 1 < 0
 
     def test_manakov_check_trace_formula(self):
@@ -469,3 +484,87 @@ class TestManakov:
 def test_non_positive_horizon_rejected(check, p, horizon):
     with pytest.raises(ValueError, match="horizon must be > 0"):
         check(make_initial(), p, horizon)
+    # and the other setup checks the three share
+    with pytest.raises(ValueError, match="samples must be >= 0"):
+        check(make_initial(), p, samples=-1)
+    for bad in (make_initial(msw=-0.5), make_initial(s0=-1.0)):
+        with pytest.raises(ValueError, match="X0 and S0 must be >= 0"):
+            check(bad, p)
+
+
+def _sup_oracle(f, s):
+    """sup of f over [0, s]: the best of 2^14 + 1 grid points, refined by a
+    bounded Brent search between its neighbours."""
+    t = np.linspace(0.0, s, 2**14 + 1)
+    i = int(np.argmax(f(t)))
+    lo, hi = t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)]
+    found = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
+                            options={"xatol": 1e-13})
+    return max(f(t[i]), -found.fun)
+
+
+def _first_hit_oracle(kind, ini, p, t):
+    """The first point of the scan t where the check's predicate holds, or
+    None.  G and G-hat never fall (M is a running supremum), so only the
+    first point where the F part holds can be the first hit."""
+    N = p.dim
+    if kind == "theorem2":
+        hits = np.flatnonzero(early_collapse_Z(ini, p, t) <= 0)
+        return t[hits[0]] if hits.size else None
+    F = partial(F_function if kind == "theorem1" else manakov_F, ini, p)
+    cc = constants(p)
+    rate = cc.beta if kind == "theorem1" else 48 * N * p.gamma / (N + 2)
+    hits = np.flatnonzero(F(t) + 1 < 0)
+    if not hits.size:
+        return None
+    s = t[hits[0]]
+    G = (_sup_oracle(F, s) + 1) * (cc.c1 * s**2 / 2 + math.exp(rate * s) - 1)
+    return s if G < 1 else None
+
+
+_CHECKS = {
+    "theorem1": (check_theorem1, st.builds(
+        params, gamma=st.floats(0.1, 1.5), kappa=st.floats(0.2, 2.0),
+        g1=st.floats(0.5, 3.0), g2=st.floats(0.5, 3.0), g=st.floats(-0.4, 2.0))),
+    "theorem2": (check_theorem2, st.builds(
+        params, gamma=st.floats(0.1, 1.5), kappa=st.floats(0.2, 2.0),
+        g1=st.floats(0.5, 5.0), g2=st.floats(-2.0, 0.0), g=st.floats(-1.0, 0.0))),
+    "manakov": (check_manakov_theorem, st.floats(0.3, 2.0).flatmap(
+        lambda g: st.builds(params, gamma=st.floats(0.1, 1.5),
+                            kappa=st.floats(0.2, 2.0), g1=st.just(g),
+                            g2=st.just(g), g=st.just(g)))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_CHECKS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_check_agrees_with_a_dense_scan(kind, data):
+    """A certified time satisfies the check's predicate, a 2^14-point scan
+    before it (less the bisection tolerance, twice) finds no point where the
+    predicate holds, and without a certificate a scan of the whole horizon
+    finds none either.  samples changes only the trace."""
+    check, param_strategy = _CHECKS[kind]
+    p = data.draw(param_strategy)
+    ini = make_initial(
+        s0=data.draw(st.floats(0.0, 5.0)), s1=data.draw(st.floats(-3.0, 3.0)),
+        msw=data.draw(st.floats(0.0, 3.0)), mswRate=data.draw(st.floats(-60.0, 20.0)),
+        energy=data.draw(st.one_of(st.floats(-1e4, -100.0), st.floats(-100.0, 50.0))),
+    )
+    horizon = data.draw(st.one_of(st.none(), st.floats(0.01, 20.0)))
+    samples = data.draw(st.integers(0, 8))
+    rep, full = check(ini, p, horizon, samples), check(ini, p, horizon, 4096)
+    assert (rep.satisfied, rep.certifiedTime) == (full.satisfied, full.certifiedTime)
+    assert len(rep.functionTrace["t"]) == samples + 1
+    horizon = 4.0 / p.gamma if horizon is None else horizon
+    tol = ptnls.criteria._TIME_TOL
+    if rep.satisfied:
+        T = rep.certifiedTime
+        assert 0 < T <= horizon
+        assert _first_hit_oracle(kind, ini, p, np.array([T])) == T
+        if T > 2 * tol:
+            scan = np.linspace(0.0, T - 2 * tol, 2**14 + 1)[1:]
+            assert _first_hit_oracle(kind, ini, p, scan) is None
+    else:
+        scan = np.linspace(0.0, horizon, 2**14 + 1)[1:]
+        assert _first_hit_oracle(kind, ini, p, scan) is None
