@@ -32,10 +32,7 @@ print(f"predicted S0(t) = {osc['mean']:.6g} "
 
 out = run(ic, params, RadialGrid(16.0, 999),
           RunConfig(dt0=1e-3, dtMin=1e-8, tMax=3.0, sampleEvery=100))
-t = np.array([s.t for s in out.trace])
-s0 = np.array([s.stokes.s0 for s in out.trace])
-s1 = np.array([s.stokes.s1 for s in out.trace])
-s2 = np.array([s.stokes.s2 for s in out.trace])
+t, s0, s1, s2 = (out.trace[c] for c in ("t", "S0", "S1", "S2"))
 
 fit = (osc["mean"] + osc["S01"] * np.cos(2 * osc["omega"] * t)
        + osc["S02"] * np.sin(2 * osc["omega"] * t))

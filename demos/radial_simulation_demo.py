@@ -29,9 +29,8 @@ ic2 = GaussianIC(ampU=0.5, ampV=2.7, widthU=0.3, widthV=0.3)
 for gamma in (0.5, 1.5):
     params = SystemParams(gamma=gamma, kappa=1.0, g1=1.0, g2=1.0, g=1.0)
     out = run(ic2, params, grid, cfg)
-    last = out.trace[-1]
     print(f"  gamma={gamma}: {out.verdict} (t={out.tStop:.3f}, "
-          f"final width^2={last.msw:.3g}, "
-          f"peak |u|={math.sqrt(last.peakU2):.3g})")
+          f"final width^2={out.trace['X'][-1]:.3g}, "
+          f"peak |u|={math.sqrt(out.trace['peakU2'][-1]):.3g})")
 print("below the coupling strength the dynamics stays bounded long enough")
 print("to focus; above it the pulses spread outward instead.")

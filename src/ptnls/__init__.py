@@ -23,9 +23,7 @@ from .model import (
     rotation_coefficients,
 )
 from .functionals import (
-    DiagnosticsSample,
     InitialFunctionals,
-    StokesVector,
     gaussian_moments,
     grid_functionals,
     s0_upper_bound,

@@ -32,7 +32,7 @@ from .errors import (
     SolverDiverged,
     ValidationError,
 )
-from .functionals import gaussian_moments
+from .functionals import TRACE_COLUMNS, gaussian_moments
 from .model import GaussianIC, SystemParams, classify_phase
 from .simulator import (
     DEFAULT_GRID,
@@ -213,39 +213,8 @@ def read_csv(path: Path):
     return header, {h: data[:, i] for i, h in enumerate(header)}
 
 
-TRACE_COLUMNS = [
-    "t",
-    "S0",
-    "S1",
-    "S2",
-    "S3",
-    "E",
-    "X",
-    "Y",
-    "peakU2",
-    "peakV2",
-    "originU",
-    "originV",
-]
-
-
 def write_trace(path: Path, outcome: RunOutcome):
-    tr = outcome.trace
-    cols = [
-        [s.t for s in tr],
-        [s.stokes.s0 for s in tr],
-        [s.stokes.s1 for s in tr],
-        [s.stokes.s2 for s in tr],
-        [s.stokes.s3 for s in tr],
-        [s.energy for s in tr],
-        [s.msw for s in tr],
-        [s.mswRate for s in tr],
-        [s.peakU2 for s in tr],
-        [s.peakV2 for s in tr],
-        [s.originU for s in tr],
-        [s.originV for s in tr],
-    ]
-    write_csv(path, TRACE_COLUMNS, cols)
+    write_csv(path, TRACE_COLUMNS, [outcome.trace[c] for c in TRACE_COLUMNS])
 
 
 def _run_criteria_job(spec: JobSpec, out: Path):

@@ -138,10 +138,13 @@ def F_function(initial: InitialFunctionals, params: SystemParams, t):
         initial.msw
         + initial.mswRate * t
         + (8 * N / (N + 2)) * initial.energy * t**2
-        + (4 * kappa / gamma**2)
-        * initial.s0
-        * (np.exp(2 * gamma * t) - 2 * gamma * t - 1)
     )
+    if initial.s0 != 0:  # at S0 = 0 the gain term is 0 * inf once exp overflows
+        val = val + (
+            (4 * kappa / gamma**2)
+            * initial.s0
+            * (np.exp(2 * gamma * t) - 2 * gamma * t - 1)
+        )
     return val if val.ndim else float(val)
 
 

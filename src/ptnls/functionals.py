@@ -2,7 +2,7 @@
 
 Two routes are provided: closed-form moments of the Gaussian inputs (used
 for t=0 criterion evaluation) and trapezoid quadrature on a radial grid
-(used to monitor running simulations).
+(used to monitor running simulations, one TRACE_COLUMNS row per sample).
 """
 
 from __future__ import annotations
@@ -14,14 +14,6 @@ import numpy as np
 
 from .errors import GridTooCoarse
 from .model import GaussianIC, SystemParams
-
-
-@dataclass(frozen=True)
-class StokesVector:
-    s0: float
-    s1: float
-    s2: float
-    s3: float
 
 
 @dataclass(frozen=True)
@@ -42,22 +34,24 @@ class InitialFunctionals:
     crossQuartic: float
 
 
-@dataclass(frozen=True)
-class DiagnosticsSample:
-    t: float
-    stokes: StokesVector
-    energy: float
-    msw: float
-    mswRate: float
-    gradU2: float
-    gradV2: float
-    quarticU: float
-    quarticV: float
-    crossQuartic: float
-    peakU2: float
-    peakV2: float
-    originU: float
-    originV: float
+# The simulator trace, in trace.csv column order: Stokes components S0-S3,
+# energy E, mean-square width X and its rate Y = dX/dt, the peaks of |u|^2
+# and |v|^2, and |u|, |v| on the axis.
+TRACE_COLUMNS = ["t", "S0", "S1", "S2", "S3", "E", "X", "Y",
+                 "peakU2", "peakV2", "originU", "originV"]
+
+
+def _energy(params: SystemParams, grad_u2, grad_v2, s1, quartic_u, quartic_v, cross):
+    """E = int |grad u|^2 + |grad v|^2 + kappa S1 - g1/2 |u|^4 - g2/2 |v|^4
+    - g |u|^2 |v|^2, from its integrals."""
+    return (
+        grad_u2
+        + grad_v2
+        + params.kappa * s1
+        - 0.5 * params.g1 * quartic_u
+        - 0.5 * params.g2 * quartic_v
+        - params.g * cross
+    )
 
 
 def gaussian_moments(ic: GaussianIC, params: SystemParams) -> InitialFunctionals:
@@ -79,14 +73,7 @@ def gaussian_moments(ic: GaussianIC, params: SystemParams) -> InitialFunctionals
     quartic_u = A**4 * (2 * math.pi) ** (-N / 2) * a ** (-N)
     quartic_v = B**4 * (2 * math.pi) ** (-N / 2) * b ** (-N)
     cross = A**2 * B**2 * (math.pi * (a**2 + b**2)) ** (-N / 2)
-    energy = (
-        grad_u2
-        + grad_v2
-        + params.kappa * s1
-        - 0.5 * params.g1 * quartic_u
-        - 0.5 * params.g2 * quartic_v
-        - params.g * cross
-    )
+    energy = _energy(params, grad_u2, grad_v2, s1, quartic_u, quartic_v, cross)
     out = InitialFunctionals(
         s0=s0,
         s1=s1,
@@ -107,15 +94,8 @@ def gaussian_moments(ic: GaussianIC, params: SystemParams) -> InitialFunctionals
     return out
 
 
-def _full(arr: np.ndarray) -> np.ndarray:
-    """Extend an interior-node array with the zero boundary values."""
-    out = np.zeros(arr.size + 2, dtype=arr.dtype)
-    out[1:-1] = arr
-    return out
-
-
-def grid_functionals(state, params: SystemParams) -> DiagnosticsSample:
-    """All integral diagnostics of a radial state (N=3 only).
+def grid_functionals(state, params: SystemParams) -> dict:
+    """The TRACE_COLUMNS values of a radial state, by name (N=3 only).
 
     Integrals over R^3 reduce to 4*pi * int_0^L (...) dr in the p=r*u,
     q=r*v variables; composite trapezoid on the uniform grid.
@@ -127,8 +107,8 @@ def grid_functionals(state, params: SystemParams) -> DiagnosticsSample:
         raise GridTooCoarse(f"need at least 16 interior nodes, got {grid.n}")
     dr = grid.dr
     r = np.concatenate(([0.0], grid.nodes, [grid.L]))
-    p = _full(state.p)
-    q = _full(state.q)
+    p = np.pad(state.p, 1)  # with the zero boundary values
+    q = np.pad(state.q, 1)
 
     p2 = np.abs(p) ** 2
     q2 = np.abs(q) ** 2
@@ -142,12 +122,8 @@ def grid_functionals(state, params: SystemParams) -> DiagnosticsSample:
     # gives p/r -> p_r(0).
     dp = np.gradient(p, dr)
     dq = np.gradient(q, dr)
-    ratio_p = np.empty_like(p)
-    ratio_q = np.empty_like(q)
-    ratio_p[1:] = p[1:] / r[1:]
-    ratio_q[1:] = q[1:] / r[1:]
-    ratio_p[0] = dp[0]
-    ratio_q[0] = dq[0]
+    ratio_p = np.concatenate((dp[:1], p[1:] / r[1:]))
+    ratio_q = np.concatenate((dq[:1], q[1:] / r[1:]))
     grad_u2 = np.trapezoid(np.abs(dp - ratio_p) ** 2, dx=dr)
     grad_v2 = np.trapezoid(np.abs(dq - ratio_q) ** 2, dx=dr)
 
@@ -169,41 +145,27 @@ def grid_functionals(state, params: SystemParams) -> DiagnosticsSample:
         + 2 * params.gamma * (msw_u - msw_v)
     )
 
-    energy = 4 * math.pi * (
-        grad_u2
-        + grad_v2
-        + params.kappa * s1
-        - 0.5 * params.g1 * quartic_u
-        - 0.5 * params.g2 * quartic_v
-        - params.g * cross
+    energy = 4 * math.pi * _energy(
+        params, grad_u2, grad_v2, s1, quartic_u, quartic_v, cross
     )
 
     u_abs = np.abs(state.p) / grid.nodes
     v_abs = np.abs(state.q) / grid.nodes
-    origin_u = u_abs[0]
-    origin_v = v_abs[0]
-    peak_u2 = max(np.max(u_abs), origin_u) ** 2
-    peak_v2 = max(np.max(v_abs), origin_v) ** 2
-
     fourpi = 4 * math.pi
-    return DiagnosticsSample(
-        t=state.t,
-        stokes=StokesVector(
-            s0=fourpi * s0, s1=fourpi * s1, s2=fourpi * s2, s3=fourpi * s3
-        ),
-        energy=energy,
-        msw=fourpi * msw,
-        mswRate=msw_rate,
-        gradU2=fourpi * grad_u2,
-        gradV2=fourpi * grad_v2,
-        quarticU=fourpi * quartic_u,
-        quarticV=fourpi * quartic_v,
-        crossQuartic=fourpi * cross,
-        peakU2=peak_u2,
-        peakV2=peak_v2,
-        originU=origin_u,
-        originV=origin_v,
-    )
+    return {
+        "t": state.t,
+        "S0": fourpi * s0,
+        "S1": fourpi * s1,
+        "S2": fourpi * s2,
+        "S3": fourpi * s3,
+        "E": energy,
+        "X": fourpi * msw,
+        "Y": msw_rate,
+        "peakU2": np.max(u_abs) ** 2,
+        "peakV2": np.max(v_abs) ** 2,
+        "originU": u_abs[0],
+        "originV": v_abs[0],
+    }
 
 
 def s0_upper_bound(initial: InitialFunctionals, params: SystemParams, t: float) -> float:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConfigInvalid, SolverDiverged
-from .functionals import DiagnosticsSample, grid_functionals
+from .functionals import TRACE_COLUMNS, grid_functionals
 from .model import GaussianIC, SystemParams, evaluate_ic
 
 
@@ -86,7 +86,7 @@ class RunOutcome:
     verdict: str  # BlowupLike | Dispersed | MaxTimeReached | SolverDiverged
     tStop: float
     component: str  # U | V | Both | None
-    trace: List[DiagnosticsSample]
+    trace: Dict[str, np.ndarray]  # TRACE_COLUMNS name -> one value per sample
     finalState: Optional[RadialState] = field(default=None, repr=False)
 
 
@@ -219,13 +219,12 @@ def run(
     ratio crossed cfg.blowupRatio, which is the presumable manifestation of
     the blowup, not a proof.  No step ends past cfg.tMax, so tStop <= tMax
     always, and a run that reaches its horizon stops at tStop == tMax.  The
-    trace always ends with a sample of the final state.
+    trace, one array per TRACE_COLUMNS name, always ends with a sample of
+    the final state.
     """
     state = load_initial(ic, grid, params)
     u0_origin, v0_origin = _origin_amp(state)
-    trace = [grid_functionals(state, params)]
-    peak_u0 = math.sqrt(trace[0].peakU2)
-    peak_v0 = math.sqrt(trace[0].peakV2)
+    samples = [grid_functionals(state, params)]
     peak = max(_peak(state), 1e-300)
     dt = cfg.dt0
     steps = 0
@@ -251,7 +250,7 @@ def run(
         if lag is None:
             steps += 1
             if steps % cfg.sampleEvery == 0:
-                trace.append(grid_functionals(state, params))
+                samples.append(grid_functionals(state, params))
             if max(ratio_u, ratio_v) < cfg.blowupRatio:
                 continue
         elif min(ratio_u, ratio_v) <= lag:  # the laggard stopped growing
@@ -259,8 +258,9 @@ def run(
         lag = min(ratio_u, ratio_v)
         if lag >= cfg.blowupRatio or max(ratio_u, ratio_v) >= 2 * cfg.blowupRatio:
             break
-    if trace[-1].t != state.t:
-        trace.append(grid_functionals(state, params))
+    if samples[-1]["t"] != state.t:
+        samples.append(grid_functionals(state, params))
+    trace = {c: np.array([s[c] for s in samples], dtype=float) for c in TRACE_COLUMNS}
     if diverged:
         return RunOutcome("SolverDiverged", state.t, "None", trace, state)
     if lag is not None:
@@ -270,14 +270,13 @@ def run(
         )
         return RunOutcome("BlowupLike", state.t, comp, trace, state)
     verdict = "MaxTimeReached"
-    last = trace[-1]
+    peak_u2, peak_v2 = trace["peakU2"], trace["peakV2"]
     peaks_bounded = (
-        math.sqrt(last.peakU2) < 2 * peak_u0 and math.sqrt(last.peakV2) < 2 * peak_v0
+        math.sqrt(peak_u2[-1]) < 2 * math.sqrt(peak_u2[0])
+        and math.sqrt(peak_v2[-1]) < 2 * math.sqrt(peak_v2[0])
     )
-    tail = [s for s in trace if s.t >= 0.75 * cfg.tMax]
-    msw_growing = len(tail) >= 2 and all(
-        b.msw >= a.msw for a, b in zip(tail, tail[1:])
-    )
+    tail = trace["X"][trace["t"] >= 0.75 * cfg.tMax]
+    msw_growing = tail.size >= 2 and bool(np.all(tail[1:] >= tail[:-1]))
     if peaks_bounded and msw_growing:
         verdict = "Dispersed"
     return RunOutcome(verdict, state.t, "None", trace, state)
@@ -321,8 +320,8 @@ def convergence_check(
         if t_common[-1] <= 0:
             trace_diffs.append(float("nan"))
             continue
-        sa = np.interp(t_common, [s.t for s in a.trace], [s.stokes.s0 for s in a.trace])
-        sb = np.interp(t_common, [s.t for s in b.trace], [s.stokes.s0 for s in b.trace])
+        sa = np.interp(t_common, a.trace["t"], a.trace["S0"])
+        sb = np.interp(t_common, b.trace["t"], b.trace["S0"])
         trace_diffs.append(float(np.max(np.abs(sa - sb) / np.maximum(1.0, np.abs(sb)))))
     converged = all(
         b <= a for a, b in zip(t_stop_diffs, t_stop_diffs[1:])

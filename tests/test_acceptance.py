@@ -241,13 +241,9 @@ def test_criterion5_zero_gamma_conservation():
         RunConfig(dt0=1e-4, dtMin=1e-8, tMax=1.0, sampleEvery=100),
     )
     assert out.tStop == pytest.approx(1.0, abs=1e-6)
-    d0 = out.trace[0]
-    s0_drift = max(
-        abs(s.stokes.s0 - d0.stokes.s0) / d0.stokes.s0 for s in out.trace
-    )
-    e_drift = max(
-        abs(s.energy - d0.energy) / max(1.0, abs(d0.energy)) for s in out.trace
-    )
+    s0, e = out.trace["S0"], out.trace["E"]
+    s0_drift = max(abs(s - s0[0]) / s0[0] for s in s0)
+    e_drift = max(abs(s - e[0]) / max(1.0, abs(e[0])) for s in e)
     assert s0_drift < 1e-6
     assert e_drift < 1e-6
 
@@ -260,9 +256,7 @@ def test_criterion6_balance_and_bound_laws():
     grid = RadialGrid(16.0, 999)
     cfg = RunConfig(dt0=1e-3, dtMin=1e-6, tMax=0.5, sampleEvery=5)
     out = run(GaussianIC(1.0, 0.5, 1.0, 1.0), p, grid, cfg)
-    t = np.array([s.t for s in out.trace])
-    s0 = np.array([s.stokes.s0 for s in out.trace])
-    s3 = np.array([s.stokes.s3 for s in out.trace])
+    t, s0, s3 = out.trace["t"], out.trace["S0"], out.trace["S3"]
     lhs = np.gradient(s0, t) / 2
     rhs = p.gamma * s3
     scale = max(1.0, float(np.max(np.abs(rhs))))
@@ -273,9 +267,9 @@ def test_criterion6_balance_and_bound_laws():
 def test_criterion6_bound_law_on_collapsing_trace():
     out = run(FIG3A_IC, params(g=1.0), DESK_GRID, DESK_CFG)
     assert out.verdict == "BlowupLike"
-    d0 = out.trace[0]
-    for s in out.trace:
-        assert s.stokes.s0 <= d0.stokes.s0 * math.exp(2 * 0.5 * s.t) * (1 + 1e-6)
+    s0 = out.trace["S0"]
+    for t, s in zip(out.trace["t"], s0):
+        assert s <= s0[0] * math.exp(2 * 0.5 * t) * (1 + 1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -286,10 +280,7 @@ def test_criterion7_manakov_suite():
     ic = GaussianIC(1.0, 0.5, 1.0, 1.0)
     grid = RadialGrid(16.0, 999)
     out = run(ic, p, grid, RunConfig(dt0=1e-3, dtMin=1e-8, tMax=3.0, sampleEvery=20))
-    t = np.array([s.t for s in out.trace])
-    s0 = np.array([s.stokes.s0 for s in out.trace])
-    s1 = np.array([s.stokes.s1 for s in out.trace])
-    s2 = np.array([s.stokes.s2 for s in out.trace])
+    t, s0, s1, s2 = (out.trace[c] for c in ("t", "S0", "S1", "S2"))
     S = p.kappa * s0 - p.gamma * s2
     assert np.max(np.abs(s1 - s1[0])) / abs(s1[0]) < 1e-5
     assert np.max(np.abs(S - S[0])) / abs(S[0]) < 1e-5

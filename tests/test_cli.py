@@ -20,6 +20,7 @@ from ptnls import (
     SolverDiverged,
     SystemParams,
     ValidationError,
+    run,
 )
 from ptnls import cli
 from ptnls.cli import (
@@ -250,6 +251,14 @@ class TestModes:
         assert data["t"][-1] == pytest.approx(0.05, abs=1e-9)
         outcome = (tmp_path / "outcome.txt").read_text()
         assert "verdict = " in outcome and "component = " in outcome
+        # trace.csv is RunOutcome.trace, one row per sample, as _fmt writes it
+        trace = run(spec.ic, spec.params, spec.grid, spec.runConfig).trace
+        assert list(trace) == TRACE_COLUMNS
+        n = len(trace["t"])
+        assert all(trace[c].shape == (n,) for c in TRACE_COLUMNS)
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1 + n
+        for c in TRACE_COLUMNS:
+            assert np.array_equal(data[c], [float(f"{v:.12e}") for v in trace[c]]), c
 
     def test_sweep_simulate(self, tmp_path):
         text = FAST_SIM + "sweep.axis = ic.A\nsweep.values = 0.1,0.2\n"
@@ -690,3 +699,9 @@ def test_readme_documents_every_key_and_default():
             assert default is None, key
         else:
             assert cli._KEYS[key][2](cell.strip("`")) == default, key
+
+
+def test_readme_documents_every_trace_column():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Simulator trace", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", section, flags=re.M) == TRACE_COLUMNS

@@ -134,6 +134,14 @@ class TestFMG:
                 rel=1e-6, abs=1e-8,
             ), name
 
+    def test_zero_power_stays_finite_at_long_times(self):
+        # at S0 = 0 the gain term drops out; it is not 0 * inf once
+        # exp(2 gamma t) overflows (2 gamma t > ~709)
+        ini = make_initial(s0=0.0, energy=0.0, msw=1.0, mswRate=-1.0)
+        p = params(gamma=0.5, kappa=1.0)
+        assert F_function(ini, p, 1000.0) == -999.0
+        assert np.array_equal(M_function(ini, p, [1.0, 1000.0]), [2.0, 2.0])
+
     def test_M_rejects_negative_s0(self):
         # F' is convex only for S0 >= 0
         with pytest.raises(ValueError):

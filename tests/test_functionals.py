@@ -16,6 +16,7 @@ from ptnls import (
     load_initial,
     s0_upper_bound,
 )
+from ptnls.functionals import TRACE_COLUMNS
 
 
 def params(gamma=0.5, kappa=1.0, g1=1.0, g2=1.0, g=1.0, dim=3):
@@ -106,7 +107,12 @@ class TestGridFunctionals:
         grid = RadialGrid(8.0, 255)
         st = make_state(grid, np.zeros_like, np.zeros_like)
         d = grid_functionals(st, params())
-        assert d.stokes.s0 == 0 and d.energy == 0 and d.msw == 0
+        assert d["S0"] == 0 and d["E"] == 0 and d["X"] == 0
+
+    def test_keys_are_trace_columns(self):
+        st = load_initial(GaussianIC(1.0, 0.5, 1.0, 1.0), RadialGrid(8.0, 255), params())
+        d = grid_functionals(st, params())
+        assert list(d) == TRACE_COLUMNS
 
     def test_matches_gaussian_moments(self):
         ic = GaussianIC(2.0, 1.5, 0.8, 0.6)
@@ -115,20 +121,19 @@ class TestGridFunctionals:
         st = load_initial(ic, grid, p)
         d = grid_functionals(st, p)
         m = gaussian_moments(ic, p)
-        assert d.stokes.s0 == pytest.approx(m.s0, rel=1e-6)
-        assert d.stokes.s1 == pytest.approx(m.s1, rel=1e-6)
-        assert d.stokes.s3 == pytest.approx(m.s3, rel=1e-6)
-        assert d.energy == pytest.approx(m.energy, rel=1e-4)
-        assert d.msw == pytest.approx(m.msw, rel=1e-6)
-        assert d.mswRate == pytest.approx(m.mswRate, rel=1e-6, abs=1e-8)
-        assert d.quarticU == pytest.approx(m.quarticU, rel=1e-6)
+        assert d["S0"] == pytest.approx(m.s0, rel=1e-6)
+        assert d["S1"] == pytest.approx(m.s1, rel=1e-6)
+        assert d["S3"] == pytest.approx(m.s3, rel=1e-6)
+        assert d["E"] == pytest.approx(m.energy, rel=1e-4)
+        assert d["X"] == pytest.approx(m.msw, rel=1e-6)
+        assert d["Y"] == pytest.approx(m.mswRate, rel=1e-6, abs=1e-8)
 
     def test_single_component(self):
         grid = RadialGrid(8.0, 511)
         st = make_state(grid, lambda r: r * np.exp(-(r**2)), np.zeros_like)
         d = grid_functionals(st, params())
-        assert d.stokes.s1 == 0 and d.stokes.s2 == 0
-        assert d.stokes.s3 == pytest.approx(d.stokes.s0, rel=1e-14)
+        assert d["S1"] == 0 and d["S2"] == 0
+        assert d["S3"] == pytest.approx(d["S0"], rel=1e-14)
 
     def test_cauchy_schwarz_bounds(self):
         rng = np.random.default_rng(3)
@@ -138,11 +143,10 @@ class TestGridFunctionals:
             qf = rng.normal(size=64) + 1j * rng.normal(size=64)
             st = RadialState(grid=grid, p=pf, q=qf, t=0.0)
             d = grid_functionals(st, params())
-            s = d.stokes
-            assert s.s0 >= 0
-            assert abs(s.s1) <= s.s0 * (1 + 1e-12)
-            assert abs(s.s2) <= s.s0 * (1 + 1e-12)
-            assert abs(s.s3) <= s.s0 * (1 + 1e-12)
+            assert d["S0"] >= 0
+            assert abs(d["S1"]) <= d["S0"] * (1 + 1e-12)
+            assert abs(d["S2"]) <= d["S0"] * (1 + 1e-12)
+            assert abs(d["S3"]) <= d["S0"] * (1 + 1e-12)
 
     def test_too_coarse(self):
         # grids below 16 nodes are rejected at construction, so build the

@@ -148,8 +148,8 @@ class TestConservation:
         for _ in range(n_steps):
             st = step(st, p, 1e-4)
         d = grid_functionals(st, p)
-        assert abs(d.stokes.s0 - d0.stokes.s0) / d0.stokes.s0 < 1e-8 * n_steps
-        assert abs(d.energy - d0.energy) / max(1, abs(d0.energy)) < 1e-8 * n_steps
+        assert abs(d["S0"] - d0["S0"]) / d0["S0"] < 1e-8 * n_steps
+        assert abs(d["E"] - d0["E"]) / max(1, abs(d0["E"])) < 1e-8 * n_steps
 
     def test_balance_law_along_trace(self):
         # d(s0)/2dt = gamma*s3 along any trajectory
@@ -161,8 +161,8 @@ class TestConservation:
         for _ in range(100):
             st = step(st, p, dt)
             samples.append(grid_functionals(st, p))
-        s0 = np.array([s.stokes.s0 for s in samples])
-        s3 = np.array([s.stokes.s3 for s in samples])
+        s0 = np.array([s["S0"] for s in samples])
+        s3 = np.array([s["S3"] for s in samples])
         lhs = np.gradient(s0, dt) / 2
         rhs = p.gamma * s3
         scale = max(1.0, float(np.max(np.abs(rhs))))
@@ -176,8 +176,8 @@ class TestConservation:
         for i in range(100):
             st = step(st, p, 1e-3)
             d = grid_functionals(st, p)
-            bound = d0.stokes.s0 * math.exp(2 * p.gamma * st.t)
-            assert d.stokes.s0 <= bound * (1 + 1e-6)
+            bound = d0["S0"] * math.exp(2 * p.gamma * st.t)
+            assert d["S0"] <= bound * (1 + 1e-6)
 
 
 class TestRun:
@@ -223,7 +223,7 @@ class TestRun:
             RadialGrid(16.0, 63),
             RunConfig(dt0=0.1, dtMin=1e-3, tMax=1.0, sampleEvery=1),
         )
-        times = [s.t for s in out.trace]
+        times = out.trace["t"]
         assert out.tStop == 1.0
         assert times[-1] == 1.0 and times[-1] - times[-2] > 0.01
 
@@ -255,7 +255,7 @@ class TestRun:
             RadialGrid(16.0, 255),
             RunConfig(dt0=1e-3, dtMin=1e-6, tMax=0.2, sampleEvery=20),
         )
-        times = [s.t for s in out.trace]
+        times = list(out.trace["t"])
         assert times == sorted(times)
         assert times[0] == 0.0
 
@@ -298,14 +298,14 @@ class TestRunExits:
         assert out.verdict == "SolverDiverged" and out.component == "None"
         assert out.tStop == calls[-1] == out.finalState.t > 0
         # the last good state is sampled although it was not a sampling step
-        assert [s.t for s in out.trace] == [0.0, out.tStop]
+        assert list(out.trace["t"]) == [0.0, out.tStop]
 
     def test_divergence_in_grace_phase(self, monkeypatch):
         script = [(2.0, 1.5), (2.0, 1.5), SolverDiverged("scripted")]
         out, calls = self.run_script(monkeypatch, script)
         assert out.verdict == "BlowupLike" and out.component == "U"
         assert len(calls) == 3 and out.tStop == calls[-1]
-        assert out.trace[-1].t == out.tStop
+        assert out.trace["t"][-1] == out.tStop
 
     @pytest.mark.parametrize("script, component, n_calls", [
         # one ratio reaches 2 * blowupRatio while the other still grows
@@ -323,10 +323,10 @@ class TestRunExits:
         )
         assert out.verdict == "BlowupLike" and out.component == component
         assert len(calls) == n_calls
-        assert out.tStop == out.finalState.t == out.trace[-1].t
+        assert out.tStop == out.finalState.t == out.trace["t"][-1]
         # every script crosses on its second step; the steps up to it are
         # sampled, the grace steps are not, and the final state closes the trace
-        assert len(out.trace) == 3 + (n_calls > 2)
+        assert len(out.trace["t"]) == 3 + (n_calls > 2)
 
 
 class TestConvergence:
