@@ -107,11 +107,10 @@ def grid_functionals(state, params: SystemParams) -> dict:
         raise GridTooCoarse(f"need at least 16 interior nodes, got {grid.n}")
     dr = grid.dr
     r = np.concatenate(([0.0], grid.nodes, [grid.L]))
-    p = np.pad(state.p, 1)  # with the zero boundary values
-    q = np.pad(state.q, 1)
-
-    p2 = np.abs(p) ** 2
-    q2 = np.abs(q) ** 2
+    f = np.pad(np.stack((state.p, state.q)), ((0, 0), (1, 1)))  # zero boundary values
+    p, q = f
+    f2 = np.abs(f) ** 2
+    p2, q2 = f2
     s0 = np.trapezoid(p2 + q2, dx=dr)
     pqbar = p * np.conj(q)
     s1 = 2 * np.trapezoid(pqbar.real, dx=dr)
@@ -119,38 +118,30 @@ def grid_functionals(state, params: SystemParams) -> dict:
     s3 = np.trapezoid(p2 - q2, dx=dr)
 
     # |grad u|^2 integrand is |p_r - p/r|^2; at r=0 regularity (p(0)=0)
-    # gives p/r -> p_r(0).
-    dp = np.gradient(p, dr)
-    dq = np.gradient(q, dr)
-    ratio_p = np.concatenate((dp[:1], p[1:] / r[1:]))
-    ratio_q = np.concatenate((dq[:1], q[1:] / r[1:]))
-    grad_u2 = np.trapezoid(np.abs(dp - ratio_p) ** 2, dx=dr)
-    grad_v2 = np.trapezoid(np.abs(dq - ratio_q) ** 2, dx=dr)
+    # gives p/r -> p_r(0).  Each row of df, grad2 and quartic is one component.
+    df = np.gradient(f, dr, axis=1)
+    ratio = np.concatenate((df[:, :1], f[:, 1:] / r[1:]), axis=1)
+    grad2 = np.trapezoid(np.abs(df - ratio) ** 2, dx=dr, axis=1)
 
     # |u|^4 integrand |p|^4/r^2 vanishes at r=0 for smooth fields.
     inv_r2 = np.zeros_like(r)
     inv_r2[1:] = 1.0 / r[1:] ** 2
-    quartic_u = np.trapezoid(p2**2 * inv_r2, dx=dr)
-    quartic_v = np.trapezoid(q2**2 * inv_r2, dx=dr)
+    quartic = np.trapezoid(f2**2 * inv_r2, dx=dr, axis=1)
     cross = np.trapezoid(p2 * q2 * inv_r2, dx=dr)
 
     msw = np.trapezoid(r**2 * (p2 + q2), dx=dr)
-    msw_u = np.trapezoid(r**2 * p2, dx=dr)
-    msw_v = np.trapezoid(r**2 * q2, dx=dr)
+    msw_u, msw_v = np.trapezoid(r**2 * f2, dx=dr, axis=1)
     # Y = 4 Im int (u x.grad(ubar) + v x.grad(vbar)) dx
     #     + 2 gamma int |x|^2 (|u|^2-|v|^2) dx, radially reduced:
     # u x.grad(ubar) r^2 = p (pbar_r r - pbar), and Im(-p pbar) = 0.
     msw_rate = 4 * math.pi * (
-        4 * np.trapezoid((p * np.conj(dp) + q * np.conj(dq)).imag * r, dx=dr)
+        4 * np.trapezoid((f * np.conj(df)).sum(axis=0).imag * r, dx=dr)
         + 2 * params.gamma * (msw_u - msw_v)
     )
 
-    energy = 4 * math.pi * _energy(
-        params, grad_u2, grad_v2, s1, quartic_u, quartic_v, cross
-    )
+    energy = 4 * math.pi * _energy(params, *grad2, s1, *quartic, cross)
 
-    u_abs = np.abs(state.p) / grid.nodes
-    v_abs = np.abs(state.q) / grid.nodes
+    u_abs, v_abs = np.abs(f[:, 1:-1]) / grid.nodes
     fourpi = 4 * math.pi
     return {
         "t": state.t,

@@ -362,6 +362,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("mode, text", [
         ("simulate", FAST_SIM + "params.dim = 4\n"),  # ValueError
+        ("simulate", FAST_SIM.replace("ic.A = 0.2", "ic.A = 1e80")),  # E(0) = -inf
         ("criteria", "ic.A = 1e300\n"),  # OverflowError
         ("criteria", "ic.a = 1e-300\n"),  # ZeroDivisionError
         ("criteria", "params.gamma = 1e-320\n"),  # ZeroDivisionError
@@ -369,7 +370,8 @@ class TestInputErrors:
         ("criteria", "params.g1 = 1e308\nparams.g2 = -1e308\n"
                      "params.g = -1e308\nic.A = 1e3\n"),
         ("criteria", "params.g1 = 1e308\nparams.g2 = 1e308\nparams.g = 1e308\n"),
-    ], ids=["dim=4", "A=1e300", "a=1e-300", "gamma=1e-320", "E0=nan", "c3=inf"])
+    ], ids=["dim=4", "sim-A=1e80", "A=1e300", "a=1e-300", "gamma=1e-320", "E0=nan",
+            "c3=inf"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
     def test_library_errors_mapped_to_validation(self, tmp_path, mode, text):
         assert self._main(tmp_path, mode, text) == EXIT_VALIDATION

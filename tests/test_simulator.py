@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_banded
 
 from ptnls import (
     ConfigInvalid,
@@ -20,7 +20,7 @@ from ptnls import (
     run,
     step,
 )
-from ptnls.simulator import _advance
+from ptnls.simulator import _advance, _tridiag_solve
 
 
 def params(gamma=0.5, kappa=1.0, g1=1.0, g2=1.0, g=1.0):
@@ -134,6 +134,42 @@ class TestStepLinearOracle:
         st = linear_mode_state(grid, 1, 1.0, 0.0)
         with pytest.raises(ValueError):
             step(st, params(), 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
+    def test_overflow_inside_step_is_divergence(self):
+        # w * p overflows in the right-hand side, before any solve
+        st = linear_mode_state(RadialGrid(8.0, 63), 1, 1e150, 1.0)
+        with pytest.raises(SolverDiverged):
+            step(st, SystemParams(0.5, 1.0), 1e-3)
+
+
+class TestTridiagSolve:
+    """The stacked solve against scipy's banded solver, one row at a time."""
+
+    def test_rows_match_separate_banded_solves(self):
+        rng = np.random.default_rng(11)
+        n = 101  # odd
+
+        def noise(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        off = 0.7 - 1.1j
+        diag = 6.0 + 0.5 * noise(2, n)  # diagonally dominant: |diag| > 2|off|
+        rhs = noise(2, n)
+        band = np.full(n - 1, off)
+        expected = [
+            solve_banded((1, 1), np.array([np.r_[0, band], d, np.r_[band, 0]]), b)
+            for d, b in zip(diag, rhs)
+        ]
+        got = _tridiag_solve(diag.copy(), off, rhs.copy())
+        assert got.shape == (2, n)
+        # a link between the rows would couple them and change both
+        for row, ref in zip(got, expected):
+            assert np.array_equal(row, ref)
+
+    def test_singular_matrix_is_divergence(self):
+        with pytest.raises(SolverDiverged):
+            _tridiag_solve(np.zeros((2, 17), complex), 0j, np.ones((2, 17), complex))
 
 
 class TestConservation:
