@@ -190,6 +190,8 @@ def serialize_jobspec(spec: JobSpec) -> str:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.12e}"
@@ -217,61 +219,59 @@ def write_trace(path: Path, outcome: RunOutcome):
     write_csv(path, TRACE_COLUMNS, [outcome.trace[c] for c in TRACE_COLUMNS])
 
 
+def _text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(_text, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+def _write_report(path: Path, fields: dict):
+    """One ``key = value`` line per field: a str as is, a list comma-joined,
+    anything else by repr, so that numbers reload exactly."""
+    path.write_text("".join(f"{k} = {_text(v)}\n" for k, v in fields.items()),
+                    encoding="utf-8")
+
+
 def _run_criteria_job(spec: JobSpec, out: Path):
     """Write report.txt and criteria.csv; return the Theorem1/2 report or None."""
     params, ic = spec.params, spec.ic
     initial = gaussian_moments(ic, params)
     horizon = crit.default_horizon(params) if spec.horizon is None else spec.horizon
-    lines = [
-        "# column order in criteria.csv: see header row",
-        f"phase = {classify_phase(params).value}",
-        f"S0(0) = {initial.s0!r}",
-        f"S1(0) = {initial.s1!r}",
-        f"S3(0) = {initial.s3!r}",
-        f"E(0) = {initial.energy!r}",
-        f"X(0) = {initial.msw!r}",
-        f"Y(0) = {initial.mswRate!r}",
-        f"horizon = {horizon!r}",
-    ]
     cc = crit.constants(params)
-    lines.append(f"c1 = {cc.c1!r}")
-    lines.append(f"c2 = {cc.c2!r}")
-    lines.append(f"c3 = {cc.c3!r}")
-    lines.append(f"c4 = {cc.c4!r}")
+    report = {
+        "phase": classify_phase(params).value,
+        "S0(0)": initial.s0, "S1(0)": initial.s1, "S3(0)": initial.s3,
+        "E(0)": initial.energy, "X(0)": initial.msw, "Y(0)": initial.mswRate,
+        "horizon": horizon, "c1": cc.c1, "c2": cc.c2, "c3": cc.c3, "c4": cc.c4,
+    }
     rep = None
     if crit.in_focusing_regime(params):
         rep = crit.check_theorem1(initial, params, horizon, spec.samples)
-        lines.append(f"theorem1.satisfied = {rep.satisfied}")
-        lines.append(f"theorem1.T0 = {rep.certifiedTime!r}")
         lem1 = crit.lemma1_threshold(initial, params)
         lem2 = crit.lemma2_threshold(initial, params)
-        lines.append(f"lemma1.satisfied = {lem1['satisfied']}")
-        lines.append(f"lemma1.E0bound = {lem1['E0bound']!r}")
-        lines.append(f"lemma2.satisfied = {lem2['satisfied']}")
-        lines.append(f"lemma2.Y0bound = {lem2['Y0bound']!r}")
-        tr = rep.functionTrace
-        write_csv(out / "criteria.csv", ["t", "F", "M", "G"],
-                  [tr["t"], tr["F"], tr["M"], tr["G"]])
+        report.update({
+            "theorem1.satisfied": rep.satisfied, "theorem1.T0": rep.certifiedTime,
+            "lemma1.satisfied": lem1["satisfied"], "lemma1.E0bound": lem1["E0bound"],
+            "lemma2.satisfied": lem2["satisfied"], "lemma2.Y0bound": lem2["Y0bound"],
+        })
     if crit.in_early_collapse_regime(params):
         rep = crit.check_theorem2(initial, params, horizon, spec.samples)
-        lines.append(f"theorem2.satisfied = {rep.satisfied}")
-        lines.append(f"theorem2.Tstar = {rep.certifiedTime!r}")
+        report.update({"theorem2.satisfied": rep.satisfied,
+                       "theorem2.Tstar": rep.certifiedTime})
+    if rep is not None:
         tr = rep.functionTrace
-        write_csv(out / "criteria.csv", ["t", "Z"], [tr["t"], tr["Z"]])
+        write_csv(out / "criteria.csv", list(tr), list(tr.values()))
     try:
         inv = crit.manakov_invariants(initial, params)
-        lines.append(f"manakov.S1const = {inv['S1const']!r}")
-        lines.append(f"manakov.Sconst = {inv['Sconst']!r}")
-        if inv["oscillation"]:
-            for k, v in inv["oscillation"].items():
-                lines.append(f"manakov.{k} = {v!r}")
+        fields = {"S1const": inv["S1const"], "Sconst": inv["Sconst"],
+                  **(inv["oscillation"] or {})}
         if params.g > 0 and params.dim >= 3:
             repm = crit.check_manakov_theorem(initial, params, horizon, spec.samples)
-            lines.append(f"manakov.satisfied = {repm.satisfied}")
-            lines.append(f"manakov.T0 = {repm.certifiedTime!r}")
+            fields.update(satisfied=repm.satisfied, T0=repm.certifiedTime)
+        report.update({f"manakov.{k}": v for k, v in fields.items()})
     except NotManakov:
         pass
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_report(out / "report.txt", report)
     return rep
 
 
@@ -279,12 +279,8 @@ def _run_simulate_job(spec: JobSpec, out: Path) -> RunOutcome:
     """Run the simulator and write trace.csv and outcome.txt."""
     outcome = run(spec.ic, spec.params, spec.grid, spec.runConfig)
     write_trace(out / "trace.csv", outcome)
-    (out / "outcome.txt").write_text(
-        f"verdict = {outcome.verdict}\n"
-        f"tStop = {outcome.tStop!r}\n"
-        f"component = {outcome.component}\n",
-        encoding="utf-8",
-    )
+    _write_report(out / "outcome.txt", {"verdict": outcome.verdict, "tStop": outcome.tStop,
+                                        "component": outcome.component})
     return outcome
 
 
@@ -320,10 +316,7 @@ def _run_sweep_job(spec: JobSpec, out: Path, workers: int):
             rows = list(pool.map(partial(_sweep_point, spec, out), spec.sweepValues))
     else:
         rows = [_sweep_point(spec, out, v) for v in spec.sweepValues]
-    with open(out / "summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("value,outcome,time\n")
-        for value, outcome, tval in rows:
-            fh.write(f"{_fmt(value)},{outcome},{_fmt(tval)}\n")
+    write_csv(out / "summary.csv", ["value", "outcome", "time"], list(zip(*rows)))
 
 
 # The bundled reference scenarios, keyed by figure id: (target, config
@@ -376,15 +369,7 @@ def _run_figure_job(spec: JobSpec, out: Path, workers: int):
 
 def _run_convergence_job(spec: JobSpec, out: Path):
     rep = convergence_check(spec.ic, spec.params, spec.grid, spec.runConfig, 1)
-    lines = [
-        f"verdicts = {','.join(rep.verdicts)}",
-        f"tStops = {','.join(repr(t) for t in rep.tStops)}",
-        f"tStopDiffs = {','.join(repr(d) for d in rep.tStopDiffs)}",
-        f"traceDiffs = {','.join(repr(d) for d in rep.traceDiffs)}",
-        f"converged = {rep.converged}",
-        f"adaptivityHeadroom = {rep.adaptivityHeadroom}",
-    ]
-    (out / "convergence.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_report(out / "convergence.txt", vars(rep))
 
 
 def run_job(spec: JobSpec, workers: int = 1) -> int:

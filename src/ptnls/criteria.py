@@ -41,13 +41,6 @@ class CriterionReport:
     constants: Optional[CriterionConstants] = None
 
 
-def _require_supercritical(params: SystemParams):
-    if params.dim < 3:
-        raise RegimeViolation(f"criteria need dim >= 3, got {params.dim}")
-    if not params.gamma > 0:
-        raise RegimeViolation("criteria need gamma > 0 (they divide by gamma)")
-
-
 def in_focusing_regime(params: SystemParams) -> bool:
     """g1, g2 > 0 and g > -sqrt(g1*g2): the regime of the main theorem."""
     return (
@@ -66,10 +59,14 @@ def constants(params: SystemParams) -> CriterionConstants:
     """The constants c1..c4 entering the blowup conditions.
 
     c2 (and hence beta) is defined only in the focusing regime; it is left
-    as None otherwise so that c1, c3, c4 remain available.  OverflowError
-    if finite inputs give a constant that is not finite.
+    as None otherwise so that c1, c3, c4 remain available.  RegimeViolation
+    unless dim >= 3 and gamma > 0; OverflowError if finite inputs give a
+    constant that is not finite.
     """
-    _require_supercritical(params)
+    if params.dim < 3:
+        raise RegimeViolation(f"criteria need dim >= 3, got {params.dim}")
+    if not params.gamma > 0:
+        raise RegimeViolation("criteria need gamma > 0 (they divide by gamma)")
     N = params.dim
     gamma, kappa = params.gamma, params.kappa
     g1, g2, g = params.g1, params.g2, params.g
@@ -218,25 +215,37 @@ def _falling_piece(slope, low, horizon):
     return r1, horizon if r2 is None else r2
 
 
+def _conjunction(kind, initial, cc, t, F, piece, rate):
+    """The first time in (0, horizon] where F + 1 < 0 and G < 1 jointly hold,
+    with M(t) = sup of F over [0, t], plus 1, G(t) = M(t) (c1 t^2 / 2 +
+    exp(rate t) - 1) and piece the part of [0, horizon] where F falls.
+
+    As F(0) = X0 >= 0 and G never falls (M >= 1 + X0 > 0 never does), that
+    is the first tF on F's falling piece with F + 1 < 0, if G(tF) < 1."""
+    def M(tt):
+        return _running_sup(F, tt, piece) + 1.0
+
+    def G(tt):
+        return M(tt) * (cc.c1 * tt**2 / 2 + np.exp(rate * tt) - 1.0)
+
+    trace = {"t": t, "F": F(t), "M": M(t), "G": G(t)}
+    t0 = _bisect(lambda tt: F(tt) + 1 < 0, *piece) if piece else None
+    ok = t0 is not None and bool(G(t0) < 1)
+    return CriterionReport(kind, ok, t0 if ok else None, trace, initial, cc)
+
+
 def check_theorem1(
     initial: InitialFunctionals,
     params: SystemParams,
     horizon: Optional[float] = None,
     samples: int = _DEFAULT_SAMPLES,
 ) -> CriterionReport:
-    """The first time in (0, horizon] where F + 1 < 0 and G < 1 jointly hold.
-
-    As F(0) = X0 >= 0 and G never falls (M >= 1 + X0 > 0 never does), that
-    is the first tF on F's falling piece with F + 1 < 0, if G(tF) < 1.
-    samples sets only the trace resolution."""
+    """The first time in (0, horizon] where F + 1 < 0 and G < 1 jointly hold,
+    with G's exponent c3 gamma / c2; samples sets only the trace resolution."""
     cc = _require_c2(params)
     horizon, t = _setup(initial, params, horizon, samples)
-    F, G = partial(F_function, initial, params), partial(G_function, initial, params)
-    trace = {"t": t, "F": F(t), "M": M_function(initial, params, t), "G": G(t)}
-    piece = _F_falls(initial, params, horizon)
-    t0 = _bisect(lambda tt: F(tt) + 1 < 0, *piece) if piece else None
-    ok = t0 is not None and G(t0) < 1
-    return CriterionReport("Theorem1", ok, t0 if ok else None, trace, initial, cc)
+    return _conjunction("Theorem1", initial, cc, t, partial(F_function, initial, params),
+                        _F_falls(initial, params, horizon), cc.beta)
 
 
 def _t0_bracket(X0: float, C0: float, params: SystemParams, cc: CriterionConstants):
@@ -430,26 +439,14 @@ def check_manakov_theorem(
     here; so the exponent is (6/5) beta at g = 1.  It would equal beta only
     with c2 = 2/3 in place of 0.8, which the abstract cannot settle (README).
     """
-    _require_supercritical(params)
+    cc, N = constants(params), params.dim
     _require_manakov(params)
     if not params.g > 0:
         raise RegimeViolation(f"Manakov check needs g > 0, got g={params.g}")
     horizon, t = _setup(initial, params, horizon, samples)
-    cc, N = constants(params), params.dim
     a = (8 * N / (N + 2)) * (initial.energy - params.kappa * initial.s1)
-    F = partial(manakov_F, initial, params)
     # F-hat' = Y0 + 2at is linear: it falls for ever if a < 0 and rises if not
     piece = _falling_piece(lambda tt: initial.mswRate + 2 * a * tt,
                            math.inf if a < 0 else 0.0, horizon)
-
-    def M(tt):
-        return _running_sup(F, tt, piece) + 1.0
-
-    def G(tt):
-        exponent = 48 * N * params.gamma * tt / (N + 2)
-        return M(tt) * (cc.c1 * tt**2 / 2 + np.exp(exponent) - 1.0)
-
-    trace = {"t": t, "F": F(t), "M": M(t), "G": G(t)}
-    t0 = _bisect(lambda tt: F(tt) + 1 < 0, *piece) if piece else None
-    ok = t0 is not None and bool(G(t0) < 1)
-    return CriterionReport("Manakov", ok, t0 if ok else None, trace, initial, cc)
+    return _conjunction("Manakov", initial, cc, t, partial(manakov_F, initial, params),
+                        piece, 48 * N * params.gamma / (N + 2))

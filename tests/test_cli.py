@@ -4,7 +4,7 @@ import os
 import pickle
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ptnls import (
+    ConvergenceReport,
     GaussianIC,
     ParseError,
     RadialGrid,
@@ -20,6 +21,7 @@ from ptnls import (
     SolverDiverged,
     SystemParams,
     ValidationError,
+    convergence_check,
     run,
 )
 from ptnls import cli
@@ -183,12 +185,16 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert all(line.count(",") == 2 for line in lines)
 
+    def test_str_column_written_as_is(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(path, ["value", "outcome"], [[0.5, 2], ["Dispersed", "1e-3"]])
+        assert path.read_text() == ("value,outcome\n5.000000000000e-01,Dispersed\n"
+                                    "2,1e-3\n")
+
 
 def _assert_plain_values(report: str):
     """Every value of a report.txt is a number, None, True or False."""
     for line in report.splitlines():
-        if line.startswith("#"):
-            continue
         key, _, value = line.partition(" = ")
         if key == "phase":  # the one label
             continue
@@ -206,6 +212,7 @@ class TestModes:
         report = (tmp_path / "report.txt").read_text()
         assert "theorem1.satisfied" in report
         assert "lemma1.satisfied" in report
+        _assert_plain_values(report)
 
     def test_criteria_verdict_does_not_depend_on_samples(self, tmp_path):
         # certified at T0 = 0.0047641; a scan of 0 or 1 samples missed it
@@ -242,6 +249,7 @@ class TestModes:
         report = (tmp_path / "report.txt").read_text()
         assert "manakov.Sconst" in report
         assert "manakov.satisfied" in report
+        _assert_plain_values(report)
 
     def test_simulate(self, tmp_path):
         spec = parse_config(FAST_SIM, "simulate", tmp_path)
@@ -249,10 +257,12 @@ class TestModes:
         header, data = read_csv(tmp_path / "trace.csv")
         assert header == TRACE_COLUMNS
         assert data["t"][-1] == pytest.approx(0.05, abs=1e-9)
-        outcome = (tmp_path / "outcome.txt").read_text()
-        assert "verdict = " in outcome and "component = " in outcome
         # trace.csv is RunOutcome.trace, one row per sample, as _fmt writes it
-        trace = run(spec.ic, spec.params, spec.grid, spec.runConfig).trace
+        outcome = run(spec.ic, spec.params, spec.grid, spec.runConfig)
+        assert (tmp_path / "outcome.txt").read_text() == (
+            f"verdict = {outcome.verdict}\ntStop = {outcome.tStop!r}\n"
+            f"component = {outcome.component}\n")
+        trace = outcome.trace
         assert list(trace) == TRACE_COLUMNS
         n = len(trace["t"])
         assert all(trace[c].shape == (n,) for c in TRACE_COLUMNS)
@@ -308,9 +318,15 @@ class TestModes:
     def test_convergence(self, tmp_path):
         spec = parse_config(FAST_SIM, "convergence", tmp_path)
         assert run_job(spec) == EXIT_OK
-        text = (tmp_path / "convergence.txt").read_text()
-        assert "converged = " in text
-        assert "adaptivityHeadroom = " in text
+        lines = (tmp_path / "convergence.txt").read_text().splitlines()
+        rep = convergence_check(spec.ic, spec.params, spec.grid, spec.runConfig, 1)
+        values = dict(line.split(" = ") for line in lines)
+        assert list(values) == [f.name for f in fields(ConvergenceReport)]
+        assert values["verdicts"] == ",".join(rep.verdicts)
+        for name in ("tStops", "tStopDiffs", "traceDiffs"):
+            assert values[name] == ",".join(map(repr, getattr(rep, name))), name
+        assert values["converged"] == repr(rep.converged)
+        assert values["adaptivityHeadroom"] == repr(rep.adaptivityHeadroom)
 
 
 class TestExitCodes:

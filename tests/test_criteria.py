@@ -214,6 +214,8 @@ class TestTheorem1:
         assert set(tr) == {"t", "F", "M", "G"}
         assert tr["t"].shape == tr["F"].shape == tr["M"].shape == tr["G"].shape
         assert tr["t"][0] == 0.0 and tr["t"][-1] == pytest.approx(8.0)
+        for name, public in (("F", F_function), ("M", M_function), ("G", G_function)):
+            assert np.array_equal(tr[name], public(rep.inputs, params(), tr["t"])), name
 
 
 class TestLemmas:

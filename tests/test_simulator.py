@@ -11,6 +11,7 @@ from ptnls import (
     RadialGrid,
     RadialState,
     RunConfig,
+    RunOutcome,
     SolverDiverged,
     SystemParams,
     convergence_check,
@@ -380,6 +381,20 @@ class TestConvergence:
         # second-order scheme: each refinement shrinks the error ~4x
         assert 2.5 < rep.traceDiffs[0] / rep.traceDiffs[1] < 6.0
         assert rep.converged
+
+    @pytest.mark.parametrize("refinements", [1, 2])
+    def test_disagreeing_verdicts_not_converged(self, monkeypatch, refinements):
+        verdicts = iter(["BlowupLike", "Dispersed", "MaxTimeReached"])
+
+        def fake_run(ic, params, grid, cfg):
+            trace = {"t": np.array([0.0, 1.0]), "S0": np.array([1.0, 1.0])}
+            return RunOutcome(next(verdicts), 1.0, "None", trace)
+
+        monkeypatch.setattr("ptnls.simulator.run", fake_run)
+        rep = convergence_check(GaussianIC(1, 1), params(), RadialGrid(16.0, 255),
+                                RunConfig(), refinements)
+        assert rep.verdicts == ["BlowupLike", "Dispersed", "MaxTimeReached"][:refinements + 1]
+        assert not rep.converged
 
     def test_no_adaptivity_headroom_flagged(self):
         rep = convergence_check(
