@@ -180,12 +180,19 @@ def M_function(initial: InitialFunctionals, params: SystemParams, t):
     return out if np.ndim(out) else float(out)
 
 
+def _G(m, c1, rate, t):
+    """m (c1 t^2 / 2 + exp(rate t) - 1).  For long horizons exp and the
+    product overflow to inf, without a warning: G = inf is right there, as
+    G < 1 is false just as it is for any G >= 1."""
+    with np.errstate(over="ignore"):
+        return m * (c1 * t**2 / 2 + np.exp(rate * t) - 1.0)
+
+
 def G_function(initial: InitialFunctionals, params: SystemParams, t):
     """G(t) = M(t) * (c1 t^2 / 2 + exp(c3 gamma t / c2) - 1)."""
     cc = _require_c2(params)
     t_arr = np.asarray(t, dtype=float)
-    bracket = cc.c1 * t_arr**2 / 2 + np.exp(cc.beta * t_arr) - 1.0
-    out = np.asarray(M_function(initial, params, t_arr)) * bracket
+    out = _G(np.asarray(M_function(initial, params, t_arr)), cc.c1, cc.beta, t_arr)
     return out if out.ndim else float(out)
 
 
@@ -226,7 +233,7 @@ def _conjunction(kind, initial, cc, t, F, piece, rate):
         return _running_sup(F, tt, piece) + 1.0
 
     def G(tt):
-        return M(tt) * (cc.c1 * tt**2 / 2 + np.exp(rate * tt) - 1.0)
+        return _G(M(tt), cc.c1, rate, tt)
 
     trace = {"t": t, "F": F(t), "M": M(t), "G": G(t)}
     t0 = _bisect(lambda tt: F(tt) + 1 < 0, *piece) if piece else None

@@ -3,14 +3,15 @@
 Works in the reduced variables p = r*u, q = r*v on a uniform grid with zero
 boundary values at r = 0 and r = L.  The stepper is Crank-Nicolson with the
 nonlinear factor handled by lagged fixed-point correction; each corrector
-pass solves the (p, q) pair, stacked, with one LAPACK zgtsv call.
+pass solves the (p, q) pair, stacked, with one LAPACK zgtsv call, and
+writes its operands into scratch arrays that run makes once per run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg.lapack import zgtsv
@@ -74,6 +75,9 @@ class RunConfig:
             raise ConfigInvalid("need dt0 >= dtMin > 0")
         if not self.blowupRatio > 1:
             raise ConfigInvalid("blowupRatio must be > 1")
+        counts = (self.sampleEvery, self.cnIterations)
+        if not all(isinstance(c, (int, np.integer)) for c in counts):
+            raise ConfigInvalid("sampleEvery and cnIterations must be integers")
         if self.tMax <= 0 or self.sampleEvery < 1 or self.cnIterations < 1:
             raise ConfigInvalid("tMax, sampleEvery, cnIterations must be positive")
 
@@ -97,26 +101,54 @@ def load_initial(ic: GaussianIC, grid: RadialGrid, params: SystemParams) -> Radi
     return RadialState(grid=grid, p=r * u0, q=r * v0, t=0.0)
 
 
-def _tridiag_solve(diag, off, rhs):
+def _tridiag_solve(diag, off, rhs, links=None):
     """Solve each row of rhs with that row of diag on the diagonal and off
     beside it, as one system whose off-diagonal is zero where two rows meet;
-    elimination does not cross that zero link.  Overwrites diag and rhs."""
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(rhs))):
+    elimination does not cross that zero link.  Overwrites diag and rhs,
+    and returns the solution in rhs's memory.
+
+    links, one row each for zgtsv's sub- and superdiagonal, is scratch
+    space: it is filled here on every call, so one array serves every solve
+    of a run with the same operands bit for bit.  With None a fresh one is
+    made."""
+    if not (np.isfinite(diag.view(float)).all() and np.isfinite(rhs.view(float)).all()):
         raise SolverDiverged("non-finite operands in the tridiagonal solve")
-    link = np.full(diag.size - 1, off)
-    link[diag.shape[-1] - 1 :: diag.shape[-1]] = 0
-    *_, x, info = zgtsv(link, diag.ravel(), link.copy(), rhs.ravel(), overwrite_dl=1,
+    if links is None:
+        links = np.empty((2, diag.size - 1), complex)
+    links.fill(off)
+    links[:, diag.shape[-1] - 1 :: diag.shape[-1]] = 0
+    *_, x, info = zgtsv(links[0], diag.ravel(), links[1], rhs.ravel(), overwrite_dl=1,
                         overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise SolverDiverged(f"tridiagonal solve failed: zgtsv info = {info}")
     return x.reshape(rhs.shape)
 
 
-def _lap(f: np.ndarray, dr: float) -> np.ndarray:
-    out = -2.0 * f
+def _lap(f: np.ndarray, dr: float, out: np.ndarray) -> np.ndarray:
+    np.multiply(-2.0, f, out=out)
     out[..., :-1] += f[..., 1:]
     out[..., 1:] += f[..., :-1]
-    return out / dr**2
+    return np.divide(out, dr**2, out=out)
+
+
+class _Workspace(NamedTuple):
+    """Scratch arrays for the steps of one run on n nodes; every step
+    overwrites them, so none outlives the step that wrote it."""
+
+    f0: np.ndarray  # (2, n) complex: (p, q) at the old time level
+    base: np.ndarray  # (2, n) complex: i lap(f0) + gain f0
+    diag: np.ndarray  # (2, n) complex: i w, then the solve's diagonal
+    coupling: np.ndarray  # (2, n) complex: the linear coupling term
+    f2_0: np.ndarray  # (2, n) float: |f0|^2
+    f2m: np.ndarray  # (2, n) float: the midpoint |f|^2
+    w: np.ndarray  # (2, n) float: the frozen nonlinear factor
+    links: np.ndarray  # (2, 2n - 1) complex: zgtsv's off-diagonals
+
+
+def _workspace(n: int) -> _Workspace:
+    c = [np.empty((2, n), complex) for _ in range(4)]
+    f = [np.empty((2, n)) for _ in range(3)]
+    return _Workspace(*c, *f, np.empty((2, 2 * n - 1), complex))
 
 
 def step(
@@ -124,6 +156,8 @@ def step(
     params: SystemParams,
     dt: float,
     cn_iterations: int = 2,
+    *,
+    work: Optional[_Workspace] = None,
 ) -> RadialState:
     """One Crank-Nicolson step of size dt.
 
@@ -132,30 +166,60 @@ def step(
     Cayley transform, hence power-conserving at gamma = 0); the linear
     coupling is averaged between the old level and the current corrector
     guess.
+
+    work holds scratch arrays from _workspace(grid.n), which run makes once
+    and passes to every step; with None a fresh set is made.  Each pass
+    writes into them in place, with the same operations in the same order
+    as the formulas read, so the result does not depend on what they held.
+    Only each pass's right-hand side is new, because the solve returns the
+    field in it; the returned state shares no memory with work.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and > 0")
+    if cn_iterations < 1:
+        raise ValueError("cn_iterations must be >= 1")
     grid = state.grid
+    work = _workspace(grid.n) if work is None else work
     dr = grid.dr
     r2 = grid.nodes**2
     gain = np.array([[params.gamma], [-params.gamma]])
     g1, g2, g = params.g1, params.g2, params.g
     k = dt / 2.0
     off = -1j * k / dr**2
-    f0 = np.stack((state.p, state.q))
-    f2_0 = np.abs(f0) ** 2
-    lap0 = _lap(f0, dr)
+    ik_kappa = 1j * k * params.kappa
+    f0 = work.f0
+    f0[0], f0[1] = state.p, state.q
+    np.square(np.abs(f0, out=work.f2_0), out=work.f2_0)
+    # base = 1j lap0 + gain f0 and dconst = -2j/dr^2 + gain do not depend
+    # on the corrector guess; both keep the association of the formulas
+    base = np.multiply(1j, _lap(f0, dr, out=work.base), out=work.base)
+    base += np.multiply(gain, f0, out=work.diag)
+    dconst = -2j / dr**2 + gain
     fs = f0
     for _ in range(cn_iterations):
-        p2m, q2m = 0.5 * (f2_0 + np.abs(fs) ** 2)
-        w = np.stack((g1 * p2m + g * q2m, g * p2m + g2 * q2m)) / r2
-        rhs = (
-            f0
-            + k * (1j * lap0 + gain * f0 + 1j * w * f0)
-            - 1j * k * params.kappa * (f0[::-1] + fs[::-1])
-        )
-        diag = 1.0 - k * (-2j / dr**2 + gain + 1j * w)
-        fs = _tridiag_solve(diag, off, rhs)
+        # f2m = 0.5 (|f0|^2 + |fs|^2); w = (g1 p2m + g q2m, g p2m + g2 q2m)
+        # / r^2, with row 0 summed as g q2m + g1 p2m: addition commutes, so
+        # the bits are the same, and no third row of scratch is needed
+        f2m = np.square(np.abs(fs, out=work.f2m), out=work.f2m)
+        np.multiply(0.5, np.add(work.f2_0, f2m, out=f2m), out=f2m)
+        p2m, q2m = f2m
+        np.multiply(g, q2m, out=work.w[0])
+        np.multiply(g, p2m, out=work.w[1])
+        p2m *= g1
+        q2m *= g2
+        np.divide(np.add(work.w, f2m, out=work.w), r2, out=work.w)
+        # rhs = f0 + k (base + 1j w f0) - 1j k kappa (f0 + fs), rows swapped
+        iw = np.multiply(1j, work.w, out=work.diag)
+        rhs = np.multiply(iw, f0)
+        np.add(base, rhs, out=rhs)
+        np.multiply(k, rhs, out=rhs)
+        np.add(f0, rhs, out=rhs)
+        coupling = np.add(f0[::-1], fs[::-1], out=work.coupling)
+        rhs -= np.multiply(ik_kappa, coupling, out=coupling)
+        # diag = 1 - k (dconst + 1j w)
+        diag = np.add(dconst, iw, out=iw)
+        np.subtract(1.0, np.multiply(k, diag, out=diag), out=diag)
+        fs = _tridiag_solve(diag, off, rhs, work.links)
     if not np.all(np.isfinite(fs.view(float))):
         raise SolverDiverged(f"non-finite field values at t={state.t + dt:g}")
     return replace(state, p=fs[0], q=fs[1], t=state.t + dt)
@@ -166,8 +230,10 @@ def step(
 _RESIDUE = 1e-6
 
 
-def _advance(state: RadialState, params: SystemParams, dt: float, cfg: RunConfig):
-    """One step of size dt, or of what is left of [0, cfg.tMax] if that is less.
+def _advance(state: RadialState, params: SystemParams, dt: float, cfg: RunConfig,
+             work: Optional[_Workspace] = None):
+    """One step of size dt, or of what is left of [0, cfg.tMax] if that is less,
+    taken with the scratch arrays work.
 
     A remainder that exceeds dt by no more than a rounding residue is taken
     whole, so a run that reaches its horizon ends on tMax exactly rather than
@@ -176,8 +242,9 @@ def _advance(state: RadialState, params: SystemParams, dt: float, cfg: RunConfig
     """
     rest = cfg.tMax - state.t
     if rest <= dt * (1.0 + _RESIDUE):
-        return replace(step(state, params, rest, cfg.cnIterations), t=cfg.tMax)
-    return step(state, params, dt, cfg.cnIterations)
+        last = step(state, params, rest, cfg.cnIterations, work=work)
+        return replace(last, t=cfg.tMax)
+    return step(state, params, dt, cfg.cnIterations, work=work)
 
 
 def _origin_amp(state: RadialState) -> tuple:
@@ -224,13 +291,14 @@ def run(
     if bad:
         raise OverflowError(f"t = 0 diagnostics not finite: {', '.join(bad)}")
     peak = max(_peak(state), 1e-300)
+    work = _workspace(grid.n)
     dt = cfg.dt0
     steps = 0
     lag = None  # the smaller origin ratio, once one ratio has crossed
     diverged = False
     while state.t < cfg.tMax:
         try:
-            new = _advance(state, params, dt, cfg)
+            new = _advance(state, params, dt, cfg, work)
         except SolverDiverged:
             new_peak = math.inf
         else:

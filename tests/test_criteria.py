@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -207,6 +208,19 @@ class TestTheorem1:
     def test_regime_violation(self):
         with pytest.raises(RegimeViolation):
             check_theorem1(make_initial(), params(g2=-1.0, g=-0.5))
+
+    def test_long_horizon_G_overflows_without_a_warning(self):
+        # exp(beta t) overflows long before t = 100: G = inf there, which
+        # decides G < 1 the same way as any G >= 1 does
+        p = params(g=-0.5)
+        ini = gaussian_moments(GaussianIC(4.0, 2.0, 0.3, 0.1), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_theorem1(ini, p, horizon=100.0)
+            G = G_function(ini, p, rep.functionTrace["t"])
+        assert not rep.satisfied and rep.certifiedTime is None
+        assert np.isinf(rep.functionTrace["G"]).any()
+        assert np.array_equal(G, rep.functionTrace["G"])
 
     def test_trace_shapes(self):
         rep = check_theorem1(make_initial(energy=3.0), params(), samples=128)

@@ -21,7 +21,7 @@ from ptnls import (
     run,
     step,
 )
-from ptnls.simulator import _advance, _tridiag_solve
+from ptnls.simulator import _advance, _tridiag_solve, _workspace
 
 
 def params(gamma=0.5, kappa=1.0, g1=1.0, g2=1.0, g=1.0):
@@ -58,6 +58,10 @@ class TestTypes:
             RunConfig(tMax=-1.0)
         with pytest.raises(ConfigInvalid):
             RunConfig(cnIterations=0)
+        for bad in (dict(cnIterations=1.5), dict(sampleEvery=2.5), dict(cnIterations=2.0)):
+            with pytest.raises(ConfigInvalid, match="integers"):
+                RunConfig(**bad)
+        assert RunConfig(cnIterations=np.int64(3)).cnIterations == 3
         for bad in (
             dict(tMax=math.nan), dict(tMax=math.inf), dict(dt0=math.inf),
             dict(blowupRatio=math.inf), dict(dtMin=math.nan),
@@ -133,8 +137,11 @@ class TestStepLinearOracle:
     def test_rejects_nonpositive_dt(self):
         grid = RadialGrid(8.0, 63)
         st = linear_mode_state(grid, 1, 1.0, 0.0)
+        for dt in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="dt must be finite and > 0"):
+                step(st, params(), dt)
         with pytest.raises(ValueError):
-            step(st, params(), 0.0)
+            step(st, params(), 1e-3, 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_overflow_inside_step_is_divergence(self):
@@ -171,6 +178,52 @@ class TestTridiagSolve:
     def test_singular_matrix_is_divergence(self):
         with pytest.raises(SolverDiverged):
             _tridiag_solve(np.zeros((2, 17), complex), 0j, np.ones((2, 17), complex))
+
+
+class TestWorkspace:
+    """run hands every step one set of scratch arrays; what they hold from
+    earlier steps must not reach the answer, and no answer may live in them."""
+
+    GRID = RadialGrid(8.0, 63)
+
+    def states(self):
+        p = params(gamma=0.3, g=-0.5)
+        ic = GaussianIC(1.5, 0.7, 0.6, 0.4)
+        return p, load_initial(ic, self.GRID, p)
+
+    def test_dirty_workspace_gives_the_same_bytes(self):
+        p, st = self.states()
+        work = _workspace(self.GRID.n)
+        other = linear_mode_state(self.GRID, 2, 3.0, -1.0 + 2j)
+        step(other, params(gamma=0.9, kappa=0.2, g=2.0), 7e-3, 3, work=work)
+        for cn in (1, 2, 3):
+            got = step(st, p, 1e-3, cn, work=work)
+            want = step(st, p, 1e-3, cn, work=None)
+            assert np.array_equal(got.p.view(float), want.p.view(float))
+            assert np.array_equal(got.q.view(float), want.q.view(float))
+
+    def test_result_shares_no_memory(self):
+        p, st = self.states()
+        work = _workspace(self.GRID.n)
+        new = step(st, p, 1e-3, work=work)
+        for field in (new.p, new.q):
+            for arr in (*work, st.p, st.q):
+                assert not np.shares_memory(field, arr)
+        # the next step overwrites the workspace and leaves new as it was
+        kept = new.p.copy(), new.q.copy()
+        step(new, p, 1e-3, work=work)
+        assert np.array_equal(new.p, kept[0]) and np.array_equal(new.q, kept[1])
+
+    def test_two_runs_give_the_same_bytes(self):
+        p, _ = self.states()
+        cfg = RunConfig(dt0=2e-3, dtMin=1e-6, tMax=0.1, sampleEvery=5)
+        a, b = (run(GaussianIC(1.5, 0.7, 0.6, 0.4), p, self.GRID, cfg) for _ in range(2))
+        assert (a.verdict, a.component, a.tStop) == (b.verdict, b.component, b.tStop)
+        assert np.array_equal(a.finalState.p.view(float), b.finalState.p.view(float))
+        assert np.array_equal(a.finalState.q.view(float), b.finalState.q.view(float))
+        assert a.trace.keys() == b.trace.keys()
+        for name in a.trace:
+            assert np.array_equal(a.trace[name], b.trace[name]), name
 
 
 class TestConservation:
@@ -313,7 +366,7 @@ class TestRunExits:
     def run_script(self, monkeypatch, script, cfg=CFG):
         calls = []
 
-        def scripted(state, params, dt, cn_iterations=2):
+        def scripted(state, params, dt, cn_iterations=2, **_):
             entry = script[len(calls)]
             calls.append(state.t)
             if isinstance(entry, Exception):
