@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -31,6 +32,8 @@ class RadialGrid:
     def __post_init__(self):
         if not 0 < self.L < math.inf:
             raise ValueError("L must be finite and > 0")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError("n must be an integer")
         if self.n < 16:
             raise ValueError("need at least 16 interior nodes")
 
@@ -41,6 +44,13 @@ class RadialGrid:
     @property
     def nodes(self) -> np.ndarray:
         return self.dr * np.arange(1, self.n + 1)
+
+    @cached_property
+    def inv_r2(self) -> np.ndarray:
+        """1/r^2 at the nodes, made once per grid and read-only."""
+        inv = 1.0 / self.nodes**2
+        inv.flags.writeable = False
+        return inv
 
 
 @dataclass(frozen=True)
@@ -124,11 +134,18 @@ def _tridiag_solve(diag, off, rhs, links=None):
     return x.reshape(rhs.shape)
 
 
-def _lap(f: np.ndarray, dr: float, out: np.ndarray) -> np.ndarray:
+def _lap(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dr^2 times the 3-point Laplacian along the last axis, zero outside."""
     np.multiply(-2.0, f, out=out)
     out[..., :-1] += f[..., 1:]
     out[..., 1:] += f[..., :-1]
-    return np.divide(out, dr**2, out=out)
+    return out
+
+
+def _abs2(f: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|f|^2 as re^2 + im^2, which is cheaper than squaring np.abs (hypot)."""
+    np.multiply(f.real, f.real, out=out)
+    return np.add(out, np.multiply(f.imag, f.imag, out=scratch), out=out)
 
 
 class _Workspace(NamedTuple):
@@ -136,12 +153,12 @@ class _Workspace(NamedTuple):
     overwrites them, so none outlives the step that wrote it."""
 
     f0: np.ndarray  # (2, n) complex: (p, q) at the old time level
-    base: np.ndarray  # (2, n) complex: i lap(f0) + gain f0
-    diag: np.ndarray  # (2, n) complex: i w, then the solve's diagonal
-    coupling: np.ndarray  # (2, n) complex: the linear coupling term
+    c0: np.ndarray  # (2, n) complex: the part of rhs fixed for the step
+    diag: np.ndarray  # (2, n) complex: (1 + k gain) f0, i k w, then the diagonal
+    coupling: np.ndarray  # (2, n) complex: i k kappa times the swapped guess
     f2_0: np.ndarray  # (2, n) float: |f0|^2
     f2m: np.ndarray  # (2, n) float: the midpoint |f|^2
-    w: np.ndarray  # (2, n) float: the frozen nonlinear factor
+    w: np.ndarray  # (2, n) float: k times the frozen nonlinear factor
     links: np.ndarray  # (2, 2n - 1) complex: zgtsv's off-diagonals
 
 
@@ -161,18 +178,30 @@ def step(
 ) -> RadialState:
     """One Crank-Nicolson step of size dt.
 
-    The nonlinear factor r^-2(g1|p|^2 + g|q|^2) is frozen at a midpoint
-    estimate and used on both time levels (this keeps the linear solve a
-    Cayley transform, hence power-conserving at gamma = 0); the linear
-    coupling is averaged between the old level and the current corrector
-    guess.
+    The nonlinear factor w = r^-2 (g1|p|^2 + g|q|^2, g|p|^2 + g2|q|^2) is
+    frozen at a midpoint estimate and used on both time levels (this keeps
+    the linear solve a Cayley transform, hence power-conserving at
+    gamma = 0); the linear coupling is averaged between the old level and
+    the current corrector guess fs (f0 on the first pass).  With k = dt/2
+    each pass solves, for f,
+
+        (1 - k (i lap + gain + i w)) f
+            = f0 + k (i lap f0 + gain f0 + i w f0) - i k kappa (f0 + fs)[::-1]
+
+    where [::-1] swaps the p and q rows.  k is distributed over the terms,
+    so that a pass forms only what depends on its guess:
+    rhs = i k w f0 + c0 - i k kappa fs[::-1] and diag = dc - i k w, with
+    c0 = f0 + k (i lap f0 + gain f0) - i k kappa f0[::-1] and
+    dc = 1 - k (-2i/dr^2 + gain) formed once per step and 1/r^2 once per
+    grid (RadialGrid.inv_r2).
 
     work holds scratch arrays from _workspace(grid.n), which run makes once
-    and passes to every step; with None a fresh set is made.  Each pass
-    writes into them in place, with the same operations in the same order
-    as the formulas read, so the result does not depend on what they held.
-    Only each pass's right-hand side is new, because the solve returns the
-    field in it; the returned state shares no memory with work.
+    and passes to every step; with None a fresh set is made.  Each step
+    writes every one of them before it reads it, so the result does not
+    depend on what they held.  Only each pass's right-hand side is new,
+    because the solve returns the field in it; the returned state shares no
+    memory with work.  Overflow raises no warning: the finiteness checks
+    report it as SolverDiverged.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
@@ -180,46 +209,40 @@ def step(
         raise ValueError("cn_iterations must be >= 1")
     grid = state.grid
     work = _workspace(grid.n) if work is None else work
-    dr = grid.dr
-    r2 = grid.nodes**2
-    gain = np.array([[params.gamma], [-params.gamma]])
-    g1, g2, g = params.g1, params.g2, params.g
     k = dt / 2.0
-    off = -1j * k / dr**2
+    kr = k / grid.dr**2
+    gain = np.array([[params.gamma], [-params.gamma]])
+    g12 = np.array([[params.g1], [params.g2]])
     ik_kappa = 1j * k * params.kappa
-    f0 = work.f0
+    f0, c0, coupling, f2_0 = work.f0, work.c0, work.coupling, work.f2_0
     f0[0], f0[1] = state.p, state.q
-    np.square(np.abs(f0, out=work.f2_0), out=work.f2_0)
-    # base = 1j lap0 + gain f0 and dconst = -2j/dr^2 + gain do not depend
-    # on the corrector guess; both keep the association of the formulas
-    base = np.multiply(1j, _lap(f0, dr, out=work.base), out=work.base)
-    base += np.multiply(gain, f0, out=work.diag)
-    dconst = -2j / dr**2 + gain
-    fs = f0
-    for _ in range(cn_iterations):
-        # f2m = 0.5 (|f0|^2 + |fs|^2); w = (g1 p2m + g q2m, g p2m + g2 q2m)
-        # / r^2, with row 0 summed as g q2m + g1 p2m: addition commutes, so
-        # the bits are the same, and no third row of scratch is needed
-        f2m = np.square(np.abs(fs, out=work.f2m), out=work.f2m)
-        np.multiply(0.5, np.add(work.f2_0, f2m, out=f2m), out=f2m)
-        p2m, q2m = f2m
-        np.multiply(g, q2m, out=work.w[0])
-        np.multiply(g, p2m, out=work.w[1])
-        p2m *= g1
-        q2m *= g2
-        np.divide(np.add(work.w, f2m, out=work.w), r2, out=work.w)
-        # rhs = f0 + k (base + 1j w f0) - 1j k kappa (f0 + fs), rows swapped
-        iw = np.multiply(1j, work.w, out=work.diag)
-        rhs = np.multiply(iw, f0)
-        np.add(base, rhs, out=rhs)
-        np.multiply(k, rhs, out=rhs)
-        np.add(f0, rhs, out=rhs)
-        coupling = np.add(f0[::-1], fs[::-1], out=work.coupling)
-        rhs -= np.multiply(ik_kappa, coupling, out=coupling)
-        # diag = 1 - k (dconst + 1j w)
-        diag = np.add(dconst, iw, out=iw)
-        np.subtract(1.0, np.multiply(k, diag, out=diag), out=diag)
-        fs = _tridiag_solve(diag, off, rhs, work.links)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _abs2(f0, out=f2_0, scratch=work.w)
+        # the first pass's coupling term is the f0 half of c0's
+        np.multiply(ik_kappa, f0[::-1], out=coupling)
+        np.multiply(1j * kr, _lap(f0, out=c0), out=c0)
+        c0 += np.multiply(1.0 + k * gain, f0, out=work.diag)
+        c0 -= coupling
+        dc = 1.0 - k * gain + 2j * kr
+        fs = f0
+        for _ in range(cn_iterations):
+            # k times the midpoint |f|^2 is k |f0|^2 on the first pass and
+            # k/2 (|f0|^2 + |fs|^2) after it
+            if fs is f0:
+                f2m, scale = f2_0, k
+            else:
+                f2m = np.add(f2_0, _abs2(fs, out=work.f2m, scratch=work.w), out=work.f2m)
+                scale = 0.5 * k
+                np.multiply(ik_kappa, fs[::-1], out=coupling)
+            kw = np.multiply(scale * params.g, f2m[::-1], out=work.w)
+            kw += np.multiply(scale * g12, f2m, out=work.f2m)
+            kw *= grid.inv_r2
+            ikw = np.multiply(1j, kw, out=work.diag)
+            rhs = np.multiply(ikw, f0)
+            rhs += c0
+            rhs -= coupling
+            diag = np.subtract(dc, ikw, out=ikw)
+            fs = _tridiag_solve(diag, -1j * kr, rhs, work.links)
     if not np.all(np.isfinite(fs.view(float))):
         raise SolverDiverged(f"non-finite field values at t={state.t + dt:g}")
     return replace(state, p=fs[0], q=fs[1], t=state.t + dt)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,12 +38,19 @@ class TestTypes:
         for L in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 RadialGrid(L, 100)
+        for n in (100.0, 999.5, True, "999", None):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                RadialGrid(16.0, n)
+        assert RadialGrid(16.0, np.int64(63)).n == 63
 
     def test_grid_geometry(self):
         grid = RadialGrid(8.0, 63)
         assert grid.dr == pytest.approx(0.125)
         assert grid.nodes[0] == pytest.approx(grid.dr)
         assert grid.nodes[-1] == pytest.approx(8.0 - grid.dr)
+        # 1/r^2 is made once per grid, and no caller can change it
+        assert grid.inv_r2 is grid.inv_r2 and not grid.inv_r2.flags.writeable
+        assert np.array_equal(grid.inv_r2, 1.0 / grid.nodes**2)
 
     def test_state_shape_validation(self):
         grid = RadialGrid(8.0, 63)
@@ -143,12 +151,71 @@ class TestStepLinearOracle:
         with pytest.raises(ValueError):
             step(st, params(), 1e-3, 0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
     def test_overflow_inside_step_is_divergence(self):
         # w * p overflows in the right-hand side, before any solve
         st = linear_mode_state(RadialGrid(8.0, 63), 1, 1e150, 1.0)
         with pytest.raises(SolverDiverged):
             step(st, SystemParams(0.5, 1.0), 1e-3)
+
+
+class TestStepFormula:
+    """step against the Crank-Nicolson pass written out as its docstring
+    states it, before any term is hoisted: each row solved on its own."""
+
+    @staticmethod
+    def reference_step(state, prm, dt, passes):
+        grid = state.grid
+        dr, r2, k = grid.dr, grid.nodes**2, dt / 2
+
+        def lap(f):
+            out = -2.0 * f
+            out[:-1] += f[1:]
+            out[1:] += f[:-1]
+            return out / dr**2
+
+        p0, q0 = state.p, state.q
+        ps, qs = p0, q0
+        for _ in range(passes):
+            p2m = 0.5 * (np.abs(p0) ** 2 + np.abs(ps) ** 2)
+            q2m = 0.5 * (np.abs(q0) ** 2 + np.abs(qs) ** 2)
+            w = ((prm.g1 * p2m + prm.g * q2m) / r2, (prm.g * p2m + prm.g2 * q2m) / r2)
+            rows = []
+            for f0, wf, gain, swapped in (
+                (p0, w[0], prm.gamma, q0 + qs),
+                (q0, w[1], -prm.gamma, p0 + ps),
+            ):
+                rhs = (f0 + k * (1j * lap(f0) + gain * f0 + 1j * wf * f0)
+                       - 1j * k * prm.kappa * swapped)
+                diag = 1 - k * (-2j / dr**2 + gain + 1j * wf)
+                off = np.full(grid.n - 1, -1j * k / dr**2)
+                band = np.array([np.r_[0, off], diag, np.r_[off, 0]])
+                rows.append(solve_banded((1, 1), band, rhs))
+            ps, qs = rows
+        return replace(state, p=ps, q=qs, t=state.t + dt)
+
+    @pytest.mark.parametrize("prm", [
+        params(gamma=0.0),
+        # SystemParams requires kappa > 0; step reads only these attributes
+        SimpleNamespace(gamma=0.5, kappa=0.0, g1=1.0, g2=1.0, g=1.0),
+        params(gamma=0.3, kappa=0.8, g1=1.3, g2=0.7, g=-0.5),
+    ], ids=["gamma=0", "kappa=0", "g1!=g2!=g"])
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    def test_step_matches_the_formula(self, prm, passes):
+        grid = RadialGrid(8.0, 127)
+        st = load_initial(GaussianIC(1.5, 0.7, 0.6, 0.4), grid, params())
+        # a phase that varies with r, so the real and imaginary parts mix
+        st = replace(st, p=st.p * np.exp(1j * grid.nodes), q=st.q * np.exp(-0.5j * grid.nodes))
+        got = want = st
+        for dt in (2e-3, 5e-3, 1e-2, 1e-2, 2e-2):
+            got = step(got, prm, dt, passes)
+            want = self.reference_step(want, prm, dt, passes)
+            assert got.t == want.t
+            for a, b in ((got.p, want.p), (got.q, want.q)):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        # the steps moved the field, and the pass count changes the answer
+        assert np.max(np.abs(got.p - st.p)) > 1e-3 * np.max(np.abs(st.p))
+        other = step(st, prm, 2e-2, passes + 1)
+        assert not np.allclose(other.p, step(st, prm, 2e-2, passes).p, rtol=1e-12, atol=0)
 
 
 class TestTridiagSolve:
@@ -382,7 +449,6 @@ class TestRunExits:
         return out, calls
 
     @pytest.mark.parametrize("failure", [SolverDiverged("scripted"), OVERFLOW])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # |p| overflows on purpose
     def test_divergence_before_crossing(self, monkeypatch, failure):
         out, calls = self.run_script(monkeypatch, [(1.0, 1.0)] * 3 + [failure])
         assert out.verdict == "SolverDiverged" and out.component == "None"
