@@ -5,7 +5,6 @@ simulator."""
 from .errors import (
     BrokenPhase,
     ConfigInvalid,
-    GridTooCoarse,
     NotManakov,
     ParseError,
     PtnlsError,

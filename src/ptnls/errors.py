@@ -17,10 +17,6 @@ class NotManakov(PtnlsError):
     """Raised when g1, g2, g are not all equal."""
 
 
-class GridTooCoarse(PtnlsError):
-    """Raised when a radial grid has too few nodes for quadrature."""
-
-
 class SolverDiverged(PtnlsError):
     """Raised when the time stepper produces non-finite values."""
 

@@ -1,10 +1,11 @@
 """Radially symmetric 3D time evolution of the coupled gain/loss system.
 
-Works in the reduced variables p = r*u, q = r*v on a uniform grid with zero
-boundary values at r = 0 and r = L.  The stepper is Crank-Nicolson with the
-nonlinear factor handled by lagged fixed-point correction; each corrector
-pass solves the (p, q) pair, stacked, with one LAPACK zgtsv call, and
-writes its operands into scratch arrays that run makes once per run.
+Works in the reduced variables p = r*u, q = r*v, held as the rows of one
+(2, n) array, on a uniform grid with zero boundary values at r = 0 and
+r = L.  The stepper is Crank-Nicolson with the nonlinear factor handled by
+lagged fixed-point correction; each corrector pass solves the (p, q) pair
+with one LAPACK zgtsv call, and writes its operands into scratch arrays
+that run makes once per run.
 """
 
 from __future__ import annotations
@@ -41,9 +42,13 @@ class RadialGrid:
     def dr(self) -> float:
         return self.L / (self.n + 1)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return self.dr * np.arange(1, self.n + 1)
+        """The interior nodes r = dr, 2 dr, ..., n dr, made once per grid and
+        read-only."""
+        r = self.dr * np.arange(1, self.n + 1)
+        r.flags.writeable = False
+        return r
 
     @cached_property
     def inv_r2(self) -> np.ndarray:
@@ -55,14 +60,16 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class RadialState:
+    """The field at time t on the grid's interior nodes: row 0 of f is
+    p = r*u and row 1 is q = r*v."""
+
     grid: RadialGrid
-    p: np.ndarray
-    q: np.ndarray
+    f: np.ndarray
     t: float
 
     def __post_init__(self):
-        if self.p.shape != (self.grid.n,) or self.q.shape != (self.grid.n,):
-            raise ValueError("field arrays must match the grid")
+        if self.f.shape != (2, self.grid.n):
+            raise ValueError("the field must have shape (2, grid.n)")
 
 
 # Desk-scale defaults; the reference resolution (dr ~ 1e-5) is far beyond
@@ -107,11 +114,10 @@ class RunOutcome:
 def load_initial(ic: GaussianIC, grid: RadialGrid, params: SystemParams) -> RadialState:
     """Sample the Gaussian inputs onto the grid in the p = r*u variables."""
     r = grid.nodes
-    u0, v0 = evaluate_ic(ic, params, r)
-    return RadialState(grid=grid, p=r * u0, q=r * v0, t=0.0)
+    return RadialState(grid=grid, f=r * np.array(evaluate_ic(ic, params, r)), t=0.0)
 
 
-def _tridiag_solve(diag, off, rhs, links=None):
+def _tridiag_solve(diag, off, rhs, links):
     """Solve each row of rhs with that row of diag on the diagonal and off
     beside it, as one system whose off-diagonal is zero where two rows meet;
     elimination does not cross that zero link.  Overwrites diag and rhs,
@@ -119,12 +125,9 @@ def _tridiag_solve(diag, off, rhs, links=None):
 
     links, one row each for zgtsv's sub- and superdiagonal, is scratch
     space: it is filled here on every call, so one array serves every solve
-    of a run with the same operands bit for bit.  With None a fresh one is
-    made."""
+    of a run with the same operands bit for bit."""
     if not (np.isfinite(diag.view(float)).all() and np.isfinite(rhs.view(float)).all()):
         raise SolverDiverged("non-finite operands in the tridiagonal solve")
-    if links is None:
-        links = np.empty((2, diag.size - 1), complex)
     links.fill(off)
     links[:, diag.shape[-1] - 1 :: diag.shape[-1]] = 0
     *_, x, info = zgtsv(links[0], diag.ravel(), links[1], rhs.ravel(), overwrite_dl=1,
@@ -152,7 +155,6 @@ class _Workspace(NamedTuple):
     """Scratch arrays for the steps of one run on n nodes; every step
     overwrites them, so none outlives the step that wrote it."""
 
-    f0: np.ndarray  # (2, n) complex: (p, q) at the old time level
     c0: np.ndarray  # (2, n) complex: the part of rhs fixed for the step
     diag: np.ndarray  # (2, n) complex: (1 + k gain) f0, i k w, then the diagonal
     coupling: np.ndarray  # (2, n) complex: i k kappa times the swapped guess
@@ -163,7 +165,7 @@ class _Workspace(NamedTuple):
 
 
 def _workspace(n: int) -> _Workspace:
-    c = [np.empty((2, n), complex) for _ in range(4)]
+    c = [np.empty((2, n), complex) for _ in range(3)]
     f = [np.empty((2, n)) for _ in range(3)]
     return _Workspace(*c, *f, np.empty((2, 2 * n - 1), complex))
 
@@ -182,7 +184,8 @@ def step(
     frozen at a midpoint estimate and used on both time levels (this keeps
     the linear solve a Cayley transform, hence power-conserving at
     gamma = 0); the linear coupling is averaged between the old level and
-    the current corrector guess fs (f0 on the first pass).  With k = dt/2
+    the current corrector guess fs (f0 on the first pass).  f0 is state.f,
+    the old time level, which step reads and never writes.  With k = dt/2
     each pass solves, for f,
 
         (1 - k (i lap + gain + i w)) f
@@ -200,8 +203,8 @@ def step(
     writes every one of them before it reads it, so the result does not
     depend on what they held.  Only each pass's right-hand side is new,
     because the solve returns the field in it; the returned state shares no
-    memory with work.  Overflow raises no warning: the finiteness checks
-    report it as SolverDiverged.
+    memory with work or with state.f.  Overflow raises no warning: the
+    finiteness checks report it as SolverDiverged.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
@@ -214,8 +217,7 @@ def step(
     gain = np.array([[params.gamma], [-params.gamma]])
     g12 = np.array([[params.g1], [params.g2]])
     ik_kappa = 1j * k * params.kappa
-    f0, c0, coupling, f2_0 = work.f0, work.c0, work.coupling, work.f2_0
-    f0[0], f0[1] = state.p, state.q
+    f0, c0, coupling, f2_0 = state.f, work.c0, work.coupling, work.f2_0
     with np.errstate(over="ignore", invalid="ignore"):
         _abs2(f0, out=f2_0, scratch=work.w)
         # the first pass's coupling term is the f0 half of c0's
@@ -245,7 +247,7 @@ def step(
             fs = _tridiag_solve(diag, -1j * kr, rhs, work.links)
     if not np.all(np.isfinite(fs.view(float))):
         raise SolverDiverged(f"non-finite field values at t={state.t + dt:g}")
-    return replace(state, p=fs[0], q=fs[1], t=state.t + dt)
+    return replace(state, f=fs, t=state.t + dt)
 
 
 # Summing n steps of size dt leaves a rounding residue of up to about
@@ -270,13 +272,12 @@ def _advance(state: RadialState, params: SystemParams, dt: float, cfg: RunConfig
     return step(state, params, dt, cfg.cnIterations, work=work)
 
 
-def _origin_amp(state: RadialState) -> tuple:
-    r1 = state.grid.dr
-    return abs(state.p[0]) / r1, abs(state.q[0]) / r1
+def _origin_amp(state: RadialState) -> np.ndarray:
+    return np.abs(state.f[:, 0]) / state.grid.dr
 
 
 def _peak(state: RadialState) -> float:
-    return max(np.max(np.abs(state.p)), np.max(np.abs(state.q)))
+    return np.max(np.abs(state.f))
 
 
 def run(

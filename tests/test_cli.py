@@ -388,7 +388,6 @@ class TestInputErrors:
         ("criteria", "params.g1 = 1e308\nparams.g2 = 1e308\nparams.g = 1e308\n"),
     ], ids=["dim=4", "sim-A=1e80", "A=1e300", "a=1e-300", "gamma=1e-320", "E0=nan",
             "c3=inf"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
     def test_library_errors_mapped_to_validation(self, tmp_path, mode, text):
         assert self._main(tmp_path, mode, text) == EXIT_VALIDATION
 

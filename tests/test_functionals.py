@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from ptnls import (
     GaussianIC,
-    GridTooCoarse,
     RadialGrid,
     RadialState,
     SystemParams,
@@ -99,7 +98,47 @@ class TestGaussianMoments:
 
 def make_state(grid, pfun, qfun):
     r = grid.nodes
-    return RadialState(grid=grid, p=pfun(r).astype(complex), q=qfun(r).astype(complex), t=0.0)
+    return RadialState(grid=grid, f=np.array([pfun(r), qfun(r)], complex), t=0.0)
+
+
+def reference_functionals(state, p):
+    """grid_functionals as the trapezoid rule reads: the field padded with its
+    zero end values, np.gradient and np.trapezoid over all n + 2 nodes."""
+    grid = state.grid
+    dr = grid.dr
+    r = np.concatenate(([0.0], grid.nodes, [grid.L]))
+    f = np.pad(state.f, ((0, 0), (1, 1)))
+    f2 = np.abs(f) ** 2
+    (u2, v2), pqbar = f2, f[0] * np.conj(f[1])
+    inv_r2 = np.zeros_like(r)
+    inv_r2[1:] = 1.0 / r[1:] ** 2
+    df = np.gradient(f, dr, axis=1)
+    # p/r tends to p_r at r = 0
+    ratio = np.concatenate((df[:, :1], f[:, 1:] / r[1:]), axis=1)
+    grad_u, grad_v = np.trapezoid(np.abs(df - ratio) ** 2, dx=dr, axis=1)
+    quartic_u, quartic_v = np.trapezoid(f2**2 * inv_r2, dx=dr, axis=1)
+    cross = np.trapezoid(u2 * v2 * inv_r2, dx=dr)
+    s1 = 2 * np.trapezoid(pqbar.real, dx=dr)
+    msw_u, msw_v = np.trapezoid(r**2 * f2, dx=dr, axis=1)
+    rate = np.trapezoid((f * np.conj(df)).sum(axis=0).imag * r, dx=dr)
+    energy = (grad_u + grad_v + p.kappa * s1 - 0.5 * p.g1 * quartic_u
+              - 0.5 * p.g2 * quartic_v - p.g * cross)
+    u_abs, v_abs = np.abs(f[:, 1:-1]) / grid.nodes
+    fourpi = 4 * math.pi
+    return {
+        "t": state.t,
+        "S0": fourpi * np.trapezoid(u2 + v2, dx=dr),
+        "S1": fourpi * s1,
+        "S2": fourpi * 2 * np.trapezoid(pqbar.imag, dx=dr),
+        "S3": fourpi * np.trapezoid(u2 - v2, dx=dr),
+        "E": fourpi * energy,
+        "X": fourpi * (msw_u + msw_v),
+        "Y": fourpi * (4 * rate + 2 * p.gamma * (msw_u - msw_v)),
+        "peakU2": np.max(u_abs) ** 2,
+        "peakV2": np.max(v_abs) ** 2,
+        "originU": u_abs[0],
+        "originV": v_abs[0],
+    }
 
 
 class TestGridFunctionals:
@@ -141,26 +180,28 @@ class TestGridFunctionals:
         for _ in range(25):
             pf = rng.normal(size=64) + 1j * rng.normal(size=64)
             qf = rng.normal(size=64) + 1j * rng.normal(size=64)
-            st = RadialState(grid=grid, p=pf, q=qf, t=0.0)
+            st = RadialState(grid=grid, f=np.array([pf, qf]), t=0.0)
             d = grid_functionals(st, params())
             assert d["S0"] >= 0
             assert abs(d["S1"]) <= d["S0"] * (1 + 1e-12)
             assert abs(d["S2"]) <= d["S0"] * (1 + 1e-12)
             assert abs(d["S3"]) <= d["S0"] * (1 + 1e-12)
 
-    def test_too_coarse(self):
-        # grids below 16 nodes are rejected at construction, so build the
-        # undersized state by bypassing the dataclass validation
-        grid = object.__new__(RadialGrid)
-        object.__setattr__(grid, "L", 4.0)
-        object.__setattr__(grid, "n", 8)
-        st = object.__new__(RadialState)
-        object.__setattr__(st, "grid", grid)
-        object.__setattr__(st, "p", np.zeros(8, dtype=complex))
-        object.__setattr__(st, "q", np.zeros(8, dtype=complex))
-        object.__setattr__(st, "t", 0.0)
-        with pytest.raises(GridTooCoarse):
-            grid_functionals(st, params())
+    @pytest.mark.parametrize("n", [16, 64, 255])
+    def test_matches_the_trapezoid_rule_written_out(self, n):
+        # a rough field that is not zero next to r = L, where the gradient
+        # term has its one end contribution
+        rng = np.random.default_rng(n)
+        p = params(gamma=0.3, kappa=0.8, g1=1.3, g2=0.7, g=-0.5)
+        grid = RadialGrid(4.0, n)
+        for _ in range(5):
+            f = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+            st = RadialState(grid=grid, f=f, t=0.25)
+            assert np.min(np.abs(f[:, -1])) > 0
+            got, want = grid_functionals(st, p), reference_functionals(st, p)
+            assert list(got) == list(want)
+            for name in want:
+                assert abs(got[name] - want[name]) <= 1e-13 * abs(want[name]), name
 
     def test_dim_restriction(self):
         grid = RadialGrid(8.0, 255)

@@ -48,14 +48,18 @@ class TestTypes:
         assert grid.dr == pytest.approx(0.125)
         assert grid.nodes[0] == pytest.approx(grid.dr)
         assert grid.nodes[-1] == pytest.approx(8.0 - grid.dr)
-        # 1/r^2 is made once per grid, and no caller can change it
-        assert grid.inv_r2 is grid.inv_r2 and not grid.inv_r2.flags.writeable
+        # the nodes and 1/r^2 are made once per grid, and no caller can change them
+        for cached in (grid.nodes, grid.inv_r2):
+            assert not cached.flags.writeable
+        assert grid.nodes is grid.nodes and grid.inv_r2 is grid.inv_r2
         assert np.array_equal(grid.inv_r2, 1.0 / grid.nodes**2)
 
     def test_state_shape_validation(self):
         grid = RadialGrid(8.0, 63)
-        with pytest.raises(ValueError):
-            RadialState(grid=grid, p=np.zeros(62, complex), q=np.zeros(63, complex), t=0.0)
+        for shape in ((63,), (2, 62), (2, 64), (3, 63)):
+            with pytest.raises(ValueError, match="shape"):
+                RadialState(grid=grid, f=np.zeros(shape, complex), t=0.0)
+        assert RadialState(grid=grid, f=np.zeros((2, 63), complex), t=0.0).f.shape == (2, 63)
 
     def test_runconfig_validation(self):
         with pytest.raises(ConfigInvalid):
@@ -85,7 +89,7 @@ class TestLoadInitial:
         st = load_initial(ic, grid, params())
         u0_origin, _ = evaluate_ic(ic, params(), 0.0)
         # p(r1)/r1 approaches u0(0) to O(r1^2)
-        assert abs(st.p[0]) / grid.dr == pytest.approx(
+        assert abs(st.f[0, 0]) / grid.dr == pytest.approx(
             abs(complex(u0_origin)), rel=1e-4
         )
 
@@ -95,16 +99,13 @@ class TestLoadInitial:
         p = params()
         st = load_initial(ic, grid, p)
         u0, v0 = evaluate_ic(ic, p, grid.nodes)
-        assert np.allclose(st.p, grid.nodes * u0)
-        assert np.allclose(st.q, grid.nodes * v0)
+        assert np.allclose(st.f, grid.nodes * np.array([u0, v0]))
         assert st.t == 0.0
 
 
 def linear_mode_state(grid, k, amp_u, amp_v):
     phi = np.sin(k * math.pi * np.arange(1, grid.n + 1) / (grid.n + 1))
-    return RadialState(
-        grid=grid, p=(amp_u * phi).astype(complex), q=(amp_v * phi).astype(complex), t=0.0
-    )
+    return RadialState(grid=grid, f=np.array([amp_u * phi, amp_v * phi], complex), t=0.0)
 
 
 class TestStepLinearOracle:
@@ -129,18 +130,18 @@ class TestStepLinearOracle:
             st = step(st, p, dt)
         a, b = self.exact(lam, gamma, kappa, dt * n_steps, 1.0, 0.3)
         phi = np.sin(k * math.pi * np.arange(1, grid.n + 1) / (grid.n + 1))
-        assert np.max(np.abs(st.p - a * phi)) < 1e-6
-        assert np.max(np.abs(st.q - b * phi)) < 1e-6
+        assert np.max(np.abs(st.f[0] - a * phi)) < 1e-6
+        assert np.max(np.abs(st.f[1] - b * phi)) < 1e-6
 
     def test_free_mode_amplitude_preserved(self):
         # gamma -> 0, kappa tiny: free evolution keeps the mode amplitude
         p = SystemParams(gamma=0.0, kappa=1e-12, g1=0.0, g2=0.0, g=0.0)
         grid = RadialGrid(8.0, 127)
         st = linear_mode_state(grid, 2, 1.0, 0.0)
-        norm0 = np.linalg.norm(st.p)
+        norm0 = np.linalg.norm(st.f[0])
         for _ in range(100):
             st = step(st, p, 1e-3)
-        assert np.linalg.norm(st.p) == pytest.approx(norm0, rel=1e-12)
+        assert np.linalg.norm(st.f[0]) == pytest.approx(norm0, rel=1e-12)
 
     def test_rejects_nonpositive_dt(self):
         grid = RadialGrid(8.0, 63)
@@ -173,7 +174,7 @@ class TestStepFormula:
             out[1:] += f[:-1]
             return out / dr**2
 
-        p0, q0 = state.p, state.q
+        p0, q0 = state.f
         ps, qs = p0, q0
         for _ in range(passes):
             p2m = 0.5 * (np.abs(p0) ** 2 + np.abs(ps) ** 2)
@@ -191,7 +192,7 @@ class TestStepFormula:
                 band = np.array([np.r_[0, off], diag, np.r_[off, 0]])
                 rows.append(solve_banded((1, 1), band, rhs))
             ps, qs = rows
-        return replace(state, p=ps, q=qs, t=state.t + dt)
+        return replace(state, f=np.array([ps, qs]), t=state.t + dt)
 
     @pytest.mark.parametrize("prm", [
         params(gamma=0.0),
@@ -204,18 +205,18 @@ class TestStepFormula:
         grid = RadialGrid(8.0, 127)
         st = load_initial(GaussianIC(1.5, 0.7, 0.6, 0.4), grid, params())
         # a phase that varies with r, so the real and imaginary parts mix
-        st = replace(st, p=st.p * np.exp(1j * grid.nodes), q=st.q * np.exp(-0.5j * grid.nodes))
+        st = replace(st, f=st.f * np.exp([[1j], [-0.5j]] * grid.nodes))
         got = want = st
         for dt in (2e-3, 5e-3, 1e-2, 1e-2, 2e-2):
             got = step(got, prm, dt, passes)
             want = self.reference_step(want, prm, dt, passes)
             assert got.t == want.t
-            for a, b in ((got.p, want.p), (got.q, want.q)):
+            for a, b in zip(got.f, want.f):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
         # the steps moved the field, and the pass count changes the answer
-        assert np.max(np.abs(got.p - st.p)) > 1e-3 * np.max(np.abs(st.p))
+        assert np.max(np.abs(got.f - st.f)) > 1e-3 * np.max(np.abs(st.f))
         other = step(st, prm, 2e-2, passes + 1)
-        assert not np.allclose(other.p, step(st, prm, 2e-2, passes).p, rtol=1e-12, atol=0)
+        assert not np.allclose(other.f, step(st, prm, 2e-2, passes).f, rtol=1e-12, atol=0)
 
 
 class TestTridiagSolve:
@@ -236,7 +237,7 @@ class TestTridiagSolve:
             solve_banded((1, 1), np.array([np.r_[0, band], d, np.r_[band, 0]]), b)
             for d, b in zip(diag, rhs)
         ]
-        got = _tridiag_solve(diag.copy(), off, rhs.copy())
+        got = _tridiag_solve(diag.copy(), off, rhs.copy(), np.empty((2, 2 * n - 1), complex))
         assert got.shape == (2, n)
         # a link between the rows would couple them and change both
         for row, ref in zip(got, expected):
@@ -244,7 +245,8 @@ class TestTridiagSolve:
 
     def test_singular_matrix_is_divergence(self):
         with pytest.raises(SolverDiverged):
-            _tridiag_solve(np.zeros((2, 17), complex), 0j, np.ones((2, 17), complex))
+            _tridiag_solve(np.zeros((2, 17), complex), 0j, np.ones((2, 17), complex),
+                           np.empty((2, 33), complex))
 
 
 class TestWorkspace:
@@ -266,28 +268,37 @@ class TestWorkspace:
         for cn in (1, 2, 3):
             got = step(st, p, 1e-3, cn, work=work)
             want = step(st, p, 1e-3, cn, work=None)
-            assert np.array_equal(got.p.view(float), want.p.view(float))
-            assert np.array_equal(got.q.view(float), want.q.view(float))
+            assert np.array_equal(got.f.view(float), want.f.view(float))
+
+    def test_step_leaves_its_input_as_it_was(self):
+        # step reads state.f as the old time level and never writes into it
+        p, st = self.states()
+        dirty = _workspace(self.GRID.n)
+        other = linear_mode_state(self.GRID, 2, 3.0, -1.0 + 2j)
+        step(other, params(gamma=0.9, kappa=0.2, g=2.0), 7e-3, 3, work=dirty)
+        before = st.f.tobytes()
+        for cn in (1, 2, 3):
+            for work in (dirty, None):
+                step(st, p, 1e-3, cn, work=work)
+                assert st.f.tobytes() == before, (cn, work is None)
 
     def test_result_shares_no_memory(self):
         p, st = self.states()
         work = _workspace(self.GRID.n)
         new = step(st, p, 1e-3, work=work)
-        for field in (new.p, new.q):
-            for arr in (*work, st.p, st.q):
-                assert not np.shares_memory(field, arr)
+        for arr in (*work, st.f):
+            assert not np.shares_memory(new.f, arr)
         # the next step overwrites the workspace and leaves new as it was
-        kept = new.p.copy(), new.q.copy()
+        kept = new.f.copy()
         step(new, p, 1e-3, work=work)
-        assert np.array_equal(new.p, kept[0]) and np.array_equal(new.q, kept[1])
+        assert np.array_equal(new.f, kept)
 
     def test_two_runs_give_the_same_bytes(self):
         p, _ = self.states()
         cfg = RunConfig(dt0=2e-3, dtMin=1e-6, tMax=0.1, sampleEvery=5)
         a, b = (run(GaussianIC(1.5, 0.7, 0.6, 0.4), p, self.GRID, cfg) for _ in range(2))
         assert (a.verdict, a.component, a.tStop) == (b.verdict, b.component, b.tStop)
-        assert np.array_equal(a.finalState.p.view(float), b.finalState.p.view(float))
-        assert np.array_equal(a.finalState.q.view(float), b.finalState.q.view(float))
+        assert np.array_equal(a.finalState.f.view(float), b.finalState.f.view(float))
         assert a.trace.keys() == b.trace.keys()
         for name in a.trace:
             assert np.array_equal(a.trace[name], b.trace[name]), name
@@ -357,7 +368,7 @@ class TestRun:
         p = params(g=-1.0)
         out = run(ic, p, grid, cfg)
         st0 = load_initial(ic, grid, p)
-        v_ratio = abs(out.finalState.q[0]) / abs(st0.q[0])
+        v_ratio = abs(out.finalState.f[1, 0]) / abs(st0.f[1, 0])
         assert v_ratio >= cfg.blowupRatio
 
     def test_quiet_field_reaches_horizon(self):
@@ -394,13 +405,13 @@ class TestRun:
         far = _advance(st0, p, dt, cfg)
         want = step(st0, p, dt, cfg.cnIterations)
         assert far.t == dt
-        assert np.array_equal(far.p, want.p) and np.array_equal(far.q, want.q)
+        assert np.array_equal(far.f, want.f)
         # less than dt left: the step covers the remainder and ends on tMax
         st = replace(st0, t=cfg.tMax - 4e-4)
         near = _advance(st, p, dt, cfg)
         want = step(st, p, cfg.tMax - st.t, cfg.cnIterations)
         assert near.t == cfg.tMax
-        assert np.array_equal(near.p, want.p) and np.array_equal(near.q, want.q)
+        assert np.array_equal(near.f, want.f)
         # a remainder a rounding residue above dt is taken whole, not left over
         st = replace(st0, t=cfg.tMax - dt * (1 + 1e-9))
         assert _advance(st, p, dt, cfg).t == cfg.tMax
@@ -439,10 +450,10 @@ class TestRunExits:
             if isinstance(entry, Exception):
                 raise entry
             if entry == self.OVERFLOW:
-                big = np.full(state.grid.n, 1.5e308 * (1 + 1j))
-                return replace(state, p=big, q=big, t=state.t + dt)
+                big = np.full((2, state.grid.n), 1.5e308 * (1 + 1j))
+                return replace(state, f=big, t=state.t + dt)
             fu, fv = entry
-            return replace(state, p=state.p * fu, q=state.q * fv, t=state.t + dt)
+            return replace(state, f=state.f * [[fu], [fv]], t=state.t + dt)
 
         monkeypatch.setattr("ptnls.simulator.step", scripted)
         out = run(GaussianIC(0.2, 0.2, 1.0, 1.0), params(), RadialGrid(8.0, 63), cfg)
