@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -39,6 +38,7 @@ from .simulator import (
     RadialGrid,
     RunConfig,
     RunOutcome,
+    _pool_map,
     convergence_check,
     run,
 )
@@ -302,20 +302,9 @@ def _sweep_point(spec: JobSpec, out: Path, value: float):
     return value, outcome.verdict, outcome.tStop
 
 
-def _cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_sweep_job(spec: JobSpec, out: Path, workers: int):
-    workers = min(workers, len(spec.sweepValues), _cores())
-    if workers > 1:  # the partial pickles by reference, so any start method works
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(partial(_sweep_point, spec, out), spec.sweepValues))
-    else:
-        rows = [_sweep_point(spec, out, v) for v in spec.sweepValues]
+    # the partial pickles by reference, so any start method works
+    rows = _pool_map(partial(_sweep_point, spec, out), spec.sweepValues, workers)
     write_csv(out / "summary.csv", ["value", "outcome", "time"], list(zip(*rows)))
 
 

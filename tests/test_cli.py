@@ -18,13 +18,14 @@ from ptnls import (
     ParseError,
     RadialGrid,
     RunConfig,
+    RunOutcome,
     SolverDiverged,
     SystemParams,
     ValidationError,
     convergence_check,
     run,
 )
-from ptnls import cli
+from ptnls import cli, simulator
 from ptnls.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -420,7 +421,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("workers", [1, 2], ids=["workers=1", "workers=2"])
     def test_sweep_criteria_outside_both_regimes(self, tmp_path, monkeypatch, workers):
         # g1 < 0: neither Theorem 1 nor Theorem 2 applies to the sweep points
-        monkeypatch.setattr(cli, "_cores", lambda: 2)  # same path on any machine
+        monkeypatch.setattr(simulator, "_cores", lambda: 2)  # same path on any machine
         text = MINIMAL + (
             "params.g1 = -1\nsweep.axis = ic.B\nsweep.values = 2,3\n"
             "sweep.target = criteria\ncriteria.samples = 16\n"
@@ -459,11 +460,44 @@ class TestInputErrors:
         assert len(calls) == 2
 
 
-def _exit_worker(spec, out, value):
-    """A sweep point whose worker process dies."""
+def _exit_worker(*args):
+    """A sweep point or convergence level whose worker process dies."""
     if multiprocessing.parent_process() is None:  # never end the test process
-        raise AssertionError("sweep point ran in the test process")
+        raise AssertionError("the work ran in the test process")
     os._exit(1)
+
+
+def _inline_pool(sizes: list, items: list):
+    """A ProcessPoolExecutor stand-in that records its size and the items
+    it is given, and maps in this process."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values):
+            values = list(values)
+            items.extend(values)
+            return map(fn, values)
+
+    return InlinePool
+
+
+def _counted_pool(sizes: list):
+    """The real ProcessPoolExecutor, recording its size."""
+
+    class CountedPool(simulator.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    return CountedPool
 
 
 # A sweep point raising each error that run_job maps, keyed by int(value);
@@ -492,22 +526,8 @@ class TestSweepPool:
     ])
     def test_pool_size_is_capped(self, tmp_path, monkeypatch, workers, cores, size):
         sizes = []
-
-        class InlinePool:  # records its size, maps in this process
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, values):
-                return map(fn, values)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(cli, "_cores", lambda: cores)
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _inline_pool(sizes, []))
+        monkeypatch.setattr(simulator, "_cores", lambda: cores)
         spec = parse_config(CRITERIA_SWEEP, "sweep", tmp_path)
         assert run_job(spec, workers=workers) == EXIT_OK
         assert sizes == ([] if size is None else [size])
@@ -516,13 +536,8 @@ class TestSweepPool:
     def test_workers_write_the_serial_bytes(self, tmp_path, monkeypatch):
         sizes = []
 
-        class CountedPool(cli.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
-        monkeypatch.setattr(cli, "_cores", lambda: 2)
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _counted_pool(sizes))
+        monkeypatch.setattr(simulator, "_cores", lambda: 2)
         text = FAST_SIM + "sweep.axis = ic.A\nsweep.values = 0.3,0.1,0.2\n"
         trees = {}
         for workers in (1, 2):
@@ -550,7 +565,7 @@ class TestSweepPool:
     ], ids=["ValueError", "ZeroDivisionError", "OSError"])
     def test_worker_errors_keep_their_exit_codes(self, tmp_path, monkeypatch, key, code):
         monkeypatch.setattr(cli, "_sweep_point", _failing_point)
-        monkeypatch.setattr(cli, "_cores", lambda: 2)
+        monkeypatch.setattr(simulator, "_cores", lambda: 2)
         text = CRITERIA_SWEEP.replace("2,3,4", f"{key},{key + 0.5}")
         for workers in (1, 2):
             spec = parse_config(text, "sweep", tmp_path / f"w{workers}")
@@ -558,10 +573,91 @@ class TestSweepPool:
 
     def test_dead_worker_exits_5(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_sweep_point", _exit_worker)
-        monkeypatch.setattr(cli, "_cores", lambda: 2)
+        monkeypatch.setattr(simulator, "_cores", lambda: 2)
         spec = parse_config(CRITERIA_SWEEP, "sweep", tmp_path)
         assert run_job(spec, workers=2) == EXIT_IO
         assert not (tmp_path / "summary.csv").exists()
+        assert not multiprocessing.active_children()
+
+
+# fig3a's input on a short radius: all three levels of a two-refinement
+# check collapse, in about 1.5 s of serial work
+_COLLAPSE = (
+    GaussianIC(4.5, 4.0, 1.0, 0.5),
+    SystemParams(gamma=0.5, kappa=1.0, g1=1.0, g2=1.0, g=1.0),
+    RadialGrid(4.0, 511),
+    RunConfig(dt0=2e-4, dtMin=1e-8, tMax=0.1, sampleEvery=50),
+)
+
+
+def _grid_run(ic, params, grid, cfg):
+    """A run that answers at once, with a tStop keyed on its grid."""
+    trace = {"t": np.array([0.0, 1.0]), "S0": np.array([1.0, 1.0])}
+    return RunOutcome("BlowupLike", 1.0 + grid.n, "None", trace)
+
+
+class TestConvergencePool:
+    """convergence_check runs its levels in worker processes, one per level
+    up to the cores, with the serial report."""
+
+    def test_pooled_report_equals_serial(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _counted_pool(sizes))
+        monkeypatch.setattr(simulator, "_cores", lambda: 2)  # same path on any machine
+        pooled = convergence_check(*_COLLAPSE, refinements=2)
+        assert sizes == [2]
+        assert not multiprocessing.active_children()
+        monkeypatch.setattr(simulator, "_cores", lambda: 1)
+        serial = convergence_check(*_COLLAPSE, refinements=2)
+        assert sizes == [2]
+        assert serial.verdicts == ["BlowupLike"] * 3 and serial.converged
+        for f in fields(ConvergenceReport):
+            assert getattr(pooled, f.name) == getattr(serial, f.name), f.name
+
+    @pytest.mark.parametrize("cores, refinements, size", [
+        (1, 2, None),  # one core: serial, no pool
+        (8, 2, 3),  # one worker per level
+        (2, 2, 2),  # capped at the cores
+        (8, 1, 2),
+    ])
+    def test_one_worker_per_level(self, monkeypatch, cores, refinements, size):
+        sizes, items = [], []
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _inline_pool(sizes, items))
+        monkeypatch.setattr(simulator, "_cores", lambda: cores)
+        monkeypatch.setattr(simulator, "run", _grid_run)
+        rep = convergence_check(*_COLLAPSE, refinements=refinements)
+        ns = [511, 1023, 2047][: refinements + 1]
+        assert sizes == ([] if size is None else [size])
+        if size is not None:  # submitted finest first
+            assert [grid.n for grid, _ in items] == ns[::-1]
+        assert rep.tStops == [1.0 + n for n in ns]  # reported in level order
+
+    def test_level_error_keeps_its_type(self, tmp_path, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _counted_pool(sizes))
+        monkeypatch.setattr(simulator, "_cores", lambda: 2)
+        text = FAST_SIM.replace("ic.A = 0.2", "ic.A = 1e80")  # E(0) = -inf
+        spec = parse_config(text, "convergence", tmp_path / "lib")
+        with pytest.raises(OverflowError):
+            convergence_check(spec.ic, spec.params, spec.grid, spec.runConfig)
+        assert not multiprocessing.active_children()
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert sizes == [2, 2]
+        assert not (out / "convergence.txt").exists()
+        assert not multiprocessing.active_children()
+
+    def test_dead_worker_exits_5(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulator, "_run_level", _exit_worker)
+        monkeypatch.setattr(simulator, "_cores", lambda: 2)
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(FAST_SIM)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == EXIT_IO
+        assert not (out / "convergence.txt").exists()
+        assert not multiprocessing.active_children()
 
 
 _CRITERIA_KEYS = (

@@ -514,11 +514,13 @@ class TestConvergence:
 
     @pytest.mark.parametrize("refinements", [1, 2])
     def test_disagreeing_verdicts_not_converged(self, monkeypatch, refinements):
-        verdicts = iter(["BlowupLike", "Dispersed", "MaxTimeReached"])
+        # keyed on the level's grid, so the answer does not depend on call
+        # order or on the process that runs the level
+        verdicts = {255: "BlowupLike", 511: "Dispersed", 1023: "MaxTimeReached"}
 
         def fake_run(ic, params, grid, cfg):
             trace = {"t": np.array([0.0, 1.0]), "S0": np.array([1.0, 1.0])}
-            return RunOutcome(next(verdicts), 1.0, "None", trace)
+            return RunOutcome(verdicts[grid.n], 1.0, "None", trace)
 
         monkeypatch.setattr("ptnls.simulator.run", fake_run)
         rep = convergence_check(GaussianIC(1, 1), params(), RadialGrid(16.0, 255),
@@ -537,7 +539,8 @@ class TestConvergence:
         assert not rep.adaptivityHeadroom
 
     def test_rejects_zero_refinements(self):
-        with pytest.raises(ValueError):
-            convergence_check(
-                GaussianIC(1, 1), params(), RadialGrid(16.0, 255), RunConfig(), 0
-            )
+        # and any count that is not an integer, as RadialGrid does for n
+        for refinements in (0, -1, 1.5, 1.0, True, False, "1", None):
+            with pytest.raises(ValueError):
+                convergence_check(GaussianIC(1, 1), params(), RadialGrid(16.0, 255),
+                                  RunConfig(), refinements)
