@@ -167,7 +167,8 @@ def parse_config(text: str, mode: str, out_dir: Path = Path(".")) -> JobSpec:
         if spec.sweepAxis not in _SWEEP_AXES:
             raise ValidationError(f"unsupported sweep axis {spec.sweepAxis!r}")
         if spec.sweepTarget not in ("simulate", "criteria"):
-            raise ValidationError(f"sweep.target must be simulate or criteria")
+            raise ValidationError("sweep.target must be simulate or criteria, "
+                                  f"not {spec.sweepTarget!r}")
         if len(set(spec.sweepValues)) != len(spec.sweepValues):
             raise ValidationError("sweep.values must not repeat a value")
     if mode == "figure":

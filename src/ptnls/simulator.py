@@ -6,6 +6,15 @@ r = L.  The stepper is Crank-Nicolson with the nonlinear factor handled by
 lagged fixed-point correction; each corrector pass solves the (p, q) pair
 with one LAPACK zgtsv call, and writes its operands into scratch arrays
 that run makes once per run.
+
+scipy, which supplies zgtsv, is imported at the first solve, not with this
+module: importing it takes about 0.3 s and the closed-form criteria never
+solve, so `import ptnls` and a `ptnls criteria` job do without it (README,
+"Install and test", quotes the measured start-up times).
+_pool_map imports it before it starts a worker pool, so workers forked
+from a parent that has not solved yet inherit it rather than each
+importing it again; a spawn or forkserver worker imports it itself at its
+first solve.
 """
 
 from __future__ import annotations
@@ -14,11 +23,10 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
 
 from .errors import ConfigInvalid, SolverDiverged
 from .functionals import TRACE_COLUMNS, grid_functionals
@@ -95,7 +103,8 @@ class RunConfig:
         if not self.blowupRatio > 1:
             raise ConfigInvalid("blowupRatio must be > 1")
         counts = (self.sampleEvery, self.cnIterations)
-        if not all(isinstance(c, (int, np.integer)) for c in counts):
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                   for c in counts):
             raise ConfigInvalid("sampleEvery and cnIterations must be integers")
         if self.tMax <= 0 or self.sampleEvery < 1 or self.cnIterations < 1:
             raise ConfigInvalid("tMax, sampleEvery, cnIterations must be positive")
@@ -119,6 +128,14 @@ def load_initial(ic: GaussianIC, grid: RadialGrid, params: SystemParams) -> Radi
     return RadialState(grid=grid, f=r * np.array(evaluate_ic(ic, params, r)), t=0.0)
 
 
+@cache
+def _zgtsv():
+    """LAPACK's zgtsv, imported with scipy.linalg on the first call."""
+    from scipy.linalg.lapack import zgtsv
+
+    return zgtsv
+
+
 def _tridiag_solve(diag, off, rhs, links):
     """Solve each row of rhs with that row of diag on the diagonal and off
     beside it, as one system whose off-diagonal is zero where two rows meet;
@@ -132,8 +149,8 @@ def _tridiag_solve(diag, off, rhs, links):
         raise SolverDiverged("non-finite operands in the tridiagonal solve")
     links.fill(off)
     links[:, diag.shape[-1] - 1 :: diag.shape[-1]] = 0
-    *_, x, info = zgtsv(links[0], diag.ravel(), links[1], rhs.ravel(), overwrite_dl=1,
-                        overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    *_, x, info = _zgtsv()(links[0], diag.ravel(), links[1], rhs.ravel(),
+                           overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise SolverDiverged(f"tridiagonal solve failed: zgtsv info = {info}")
     return x.reshape(rhs.shape)
@@ -403,11 +420,13 @@ def _pool_map(fn: Callable, items: Iterable, workers: int) -> list:
     1.  fn and the items are pickled, so fn must be a module-level function
     or a partial of one.  An exception raised by fn is raised here with its
     own type; a worker that dies raises BrokenProcessPool.  Every worker has
-    ended when this returns or raises.
+    ended when this returns or raises.  The solver is loaded before the
+    pool starts, so that forked workers inherit it.
     """
     items = list(items)
     workers = min(workers, len(items), _cores())
     if workers > 1:
+        _zgtsv()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

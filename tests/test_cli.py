@@ -3,6 +3,8 @@ import multiprocessing
 import os
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, replace
 from functools import partial
@@ -157,6 +159,11 @@ class TestParseConfig:
     def test_sweep_axis_whitelist(self):
         text = MINIMAL + "sweep.axis = grid.n\nsweep.values = 1,2\n"
         with pytest.raises(ValidationError):
+            parse_config(text, "sweep")
+
+    def test_sweep_target_whitelist(self):
+        text = MINIMAL + "sweep.axis = ic.B\nsweep.values = 1,2\nsweep.target = both\n"
+        with pytest.raises(ValidationError, match="simulate or criteria, not 'both'"):
             parse_config(text, "sweep")
 
     def test_figure_requires_known_id(self):
@@ -658,6 +665,58 @@ class TestConvergencePool:
         assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == EXIT_IO
         assert not (out / "convergence.txt").exists()
         assert not multiprocessing.active_children()
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(code: str) -> str:
+    """Standard output of code run in a new interpreter on this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestScipyLoad:
+    """scipy, which only the solve needs, loads at the first solve, and a
+    pool loads it before it forks."""
+
+    def test_only_a_solve_loads_scipy(self, tmp_path):
+        fig1a = "".join(f"{k} = {v}\n" for k, v in cli._FIG1_BASE.items())
+        (tmp_path / "fig1a.cfg").write_text(fig1a)
+        one_step = FAST_SIM.replace("run.t_max = 0.05", "run.t_max = 1e-3")  # = dt0
+        (tmp_path / "step.cfg").write_text(one_step)
+        out = _fresh(f"""
+import sys
+import ptnls, ptnls.cli
+print("scipy" in sys.modules)
+code = ptnls.cli.main(["criteria", "--config", {str(tmp_path / "fig1a.cfg")!r},
+                       "--out", {str(tmp_path / "crit")!r}])
+print(code, "scipy" in sys.modules)
+code = ptnls.cli.main(["simulate", "--config", {str(tmp_path / "step.cfg")!r},
+                       "--out", {str(tmp_path / "sim")!r}])
+print(code, "scipy.linalg.lapack" in sys.modules)
+""")
+        assert out.split("\n") == ["False", f"{EXIT_OK} False", f"{EXIT_OK} True", ""]
+        assert (tmp_path / "crit" / "report.txt").exists()
+        _, data = read_csv(tmp_path / "sim" / "trace.csv")
+        assert data["t"].tolist() == [0.0, 1e-3]
+
+    @pytest.mark.skipif(simulator._cores() < 2 or multiprocessing.get_start_method() != "fork",
+                        reason="needs two cores and forked workers")
+    def test_forked_workers_inherit_the_solver(self):
+        out = _fresh("""
+import sys
+from ptnls import simulator
+
+def solver_loaded(_):
+    return "scipy.linalg.lapack" in sys.modules
+
+print("scipy" in sys.modules, simulator._pool_map(solver_loaded, range(2), 2))
+""")
+        assert out == "False [True, True]\n"
 
 
 _CRITERIA_KEYS = (

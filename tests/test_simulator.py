@@ -70,7 +70,9 @@ class TestTypes:
             RunConfig(tMax=-1.0)
         with pytest.raises(ConfigInvalid):
             RunConfig(cnIterations=0)
-        for bad in (dict(cnIterations=1.5), dict(sampleEvery=2.5), dict(cnIterations=2.0)):
+        for bad in (dict(cnIterations=1.5), dict(sampleEvery=2.5), dict(cnIterations=2.0),
+                    dict(cnIterations=True), dict(cnIterations=False),
+                    dict(sampleEvery=True), dict(sampleEvery=False)):
             with pytest.raises(ConfigInvalid, match="integers"):
                 RunConfig(**bad)
         assert RunConfig(cnIterations=np.int64(3)).cnIterations == 3
