@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -39,6 +39,7 @@ from .simulator import (
     RunConfig,
     RunOutcome,
     _pool_map,
+    _zgtsv,
     convergence_check,
     run,
 )
@@ -304,6 +305,8 @@ def _sweep_point(spec: JobSpec, out: Path, value: float):
 
 
 def _run_sweep_job(spec: JobSpec, out: Path, workers: int):
+    if spec.sweepTarget == "simulate":
+        _zgtsv()  # before a pool forks, so that its workers inherit the solver
     # the partial pickles by reference, so any start method works
     rows = _pool_map(partial(_sweep_point, spec, out), spec.sweepValues, workers)
     write_csv(out / "summary.csv", ["value", "outcome", "time"], list(zip(*rows)))
@@ -384,7 +387,7 @@ def run_job(spec: JobSpec, workers: int = 1) -> int:
     except SolverDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (OSError, BrokenProcessPool) as exc:  # BrokenProcessPool: a worker died
+    except (OSError, BrokenExecutor) as exc:  # a pool worker died
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (PtnlsError, ValueError, ArithmeticError) as exc:  # inputs out of reach

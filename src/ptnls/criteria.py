@@ -3,6 +3,15 @@
 Covers the main finite-horizon check (the F/M/G conjunction), the two
 threshold lemmas, the early-collapse bound Z(t) with its constant c4, and
 the Manakov-case variants with the extra integrals of motion.
+
+Each bound has a public door and a private closed form.  The door
+(F_function, M_function, G_function, early_collapse_Z, manakov_F,
+energy_growth_bound) checks the regime, raises ValueError unless every t
+is finite and >= 0, and returns a float for a scalar t.  The closed form
+(_width for F and F-hat, _Z for Z) takes coefficients computed beforehand
+and a float or array t, and checks nothing.  A check computes its
+constants and coefficients once, then evaluates the closed form on its
+trace and at every bisection step; the two give the same bits as the door.
 """
 
 from __future__ import annotations
@@ -10,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -122,39 +131,63 @@ def _setup(initial: InitialFunctionals, params: SystemParams, horizon, samples):
     return float(horizon), np.linspace(0.0, horizon, samples + 1)
 
 
-def F_function(initial: InitialFunctionals, params: SystemParams, t):
-    """Width bound F(t) built from the t=0 functionals."""
+def _times(t) -> np.ndarray:
+    """t as a float array; ValueError unless every t is finite and >= 0."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ValueError("t must be finite and >= 0")
+    return t
+
+
+def _scalar(out):
+    """A 0-d result as a float; an array as it is."""
+    return out if out.ndim else float(out)
+
+
+class _Width(NamedTuple):
+    """The coefficients of X0 + Y0 t + a t^2 + b (e^{rate t} - rate t - 1):
+    F for Theorem 1, and F-hat (b = 0) in the Manakov case."""
+
+    X0: float
+    Y0: float
+    a: float
+    b: float
+    rate: float
+
+
+def _width(k: _Width, t):
+    """The width bound with coefficients k at a float or array t, unchecked."""
+    X0, Y0, a, b, rate = k
+    val = X0 + Y0 * t + a * (t * t)  # numpy's t**2 is t * t; a float's is pow
+    if b:  # b = 0 at S0 = 0, where the gain term is 0 * inf once exp overflows
+        val = val + b * (np.exp(rate * t) - rate * t - 1)
+    return val
+
+
+def _F_terms(initial: InitialFunctionals, params: SystemParams) -> _Width:
+    """F's coefficients; RegimeViolation unless gamma > 0."""
     if not params.gamma > 0:
         raise RegimeViolation("F is defined for gamma > 0 (it divides by gamma)")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
-    N = params.dim
-    gamma, kappa = params.gamma, params.kappa
-    val = (
-        initial.msw
-        + initial.mswRate * t
-        + (8 * N / (N + 2)) * initial.energy * t**2
-    )
-    if initial.s0 != 0:  # at S0 = 0 the gain term is 0 * inf once exp overflows
-        val = val + (
-            (4 * kappa / gamma**2)
-            * initial.s0
-            * (np.exp(2 * gamma * t) - 2 * gamma * t - 1)
-        )
-    return val if val.ndim else float(val)
+    N, gamma, S0 = params.dim, params.gamma, initial.s0
+    b = (4 * params.kappa / gamma**2) * S0 if S0 != 0 else 0.0
+    return _Width(initial.msw, initial.mswRate, (8 * N / (N + 2)) * initial.energy,
+                  b, 2 * gamma)
 
 
-def _F_falls(initial: InitialFunctionals, params: SystemParams, horizon):
-    """The piece of [0, horizon] on which F falls, or None.  F' is convex for
-    S0 >= 0, as F'' = (16N/(N+2)) E0 + 16 kappa S0 e^{2 gamma t} never falls:
-    F' falls until F'' = 0 and rises after."""
-    N, gamma, kappa, S0 = params.dim, params.gamma, params.kappa, initial.s0
-    Y0, a = initial.mswRate, (8 * N / (N + 2)) * initial.energy
+def F_function(initial: InitialFunctionals, params: SystemParams, t):
+    """Width bound F(t) built from the t=0 functionals."""
+    k = _F_terms(initial, params)
+    return _scalar(_width(k, _times(t)))
+
+
+def _F_falls(initial: InitialFunctionals, params: SystemParams, k: _Width, horizon):
+    """The piece of [0, horizon] on which F, with coefficients k, falls, or
+    None.  F' is convex for S0 >= 0, as F'' = (16N/(N+2)) E0 + 16 kappa S0
+    e^{2 gamma t} never falls: F' falls until F'' = 0 and rises after."""
+    gamma, kappa, S0 = params.gamma, params.kappa, initial.s0
+    Y0, a = k.Y0, k.a
     if S0 < 0:
         raise ValueError("the running supremum of F needs S0 >= 0")
-    if not gamma > 0:
-        raise RegimeViolation("F is defined for gamma > 0 (it divides by gamma)")
 
     def slope(t):  # F'(t) e^{-2 gamma t}: the sign of F', without overflow
         return ((Y0 + 2 * a * t) * math.exp(-2 * gamma * t)
@@ -165,19 +198,22 @@ def _F_falls(initial: InitialFunctionals, params: SystemParams, horizon):
     return _falling_piece(slope, low, horizon)
 
 
-def _running_sup(F, t, piece):
-    """sup of F over [0, t] when F falls on piece (or None) and rises elsewhere."""
-    sup = np.maximum(F(0.0), F(t))
-    if piece is not None:  # F peaks where piece starts
+def _F_and_M(F, t, piece):
+    """F(t) and M(t) = sup of F over [0, t], plus 1, when F falls on piece
+    (or None) and rises elsewhere: F peaks where piece starts."""
+    Ft = F(t)
+    sup = np.maximum(F(0.0), Ft)
+    if piece is not None:
         sup = np.where(np.asarray(t) >= piece[0], np.maximum(sup, F(piece[0])), sup)
-    return sup
+    return Ft, sup + 1.0
 
 
 def M_function(initial: InitialFunctionals, params: SystemParams, t):
     """M(t) = sup over [0,t] of F + 1, exact from F(0), F(t) and F's peak."""
-    piece = _F_falls(initial, params, float(np.max(t)))
-    out = _running_sup(partial(F_function, initial, params), t, piece) + 1.0
-    return out if np.ndim(out) else float(out)
+    k = _F_terms(initial, params)
+    t = _times(t)
+    piece = _F_falls(initial, params, k, float(np.max(t)))
+    return _scalar(_F_and_M(partial(_width, k), t, piece)[1])
 
 
 def _G(m, c1, rate, t):
@@ -191,9 +227,8 @@ def _G(m, c1, rate, t):
 def G_function(initial: InitialFunctionals, params: SystemParams, t):
     """G(t) = M(t) * (c1 t^2 / 2 + exp(c3 gamma t / c2) - 1)."""
     cc = _require_c2(params)
-    t_arr = np.asarray(t, dtype=float)
-    out = _G(np.asarray(M_function(initial, params, t_arr)), cc.c1, cc.beta, t_arr)
-    return out if out.ndim else float(out)
+    t = _times(t)
+    return _scalar(_G(M_function(initial, params, t), cc.c1, cc.beta, t))
 
 
 def _bisect(pred, lo, hi, tol=_TIME_TOL):
@@ -229,15 +264,10 @@ def _conjunction(kind, initial, cc, t, F, piece, rate):
 
     As F(0) = X0 >= 0 and G never falls (M >= 1 + X0 > 0 never does), that
     is the first tF on F's falling piece with F + 1 < 0, if G(tF) < 1."""
-    def M(tt):
-        return _running_sup(F, tt, piece) + 1.0
-
-    def G(tt):
-        return _G(M(tt), cc.c1, rate, tt)
-
-    trace = {"t": t, "F": F(t), "M": M(t), "G": G(t)}
+    Ft, M = _F_and_M(F, t, piece)
+    trace = {"t": t, "F": Ft, "M": M, "G": _G(M, cc.c1, rate, t)}
     t0 = _bisect(lambda tt: F(tt) + 1 < 0, *piece) if piece else None
-    ok = t0 is not None and bool(G(t0) < 1)
+    ok = t0 is not None and bool(_G(_F_and_M(F, t0, piece)[1], cc.c1, rate, t0) < 1)
     return CriterionReport(kind, ok, t0 if ok else None, trace, initial, cc)
 
 
@@ -251,8 +281,9 @@ def check_theorem1(
     with G's exponent c3 gamma / c2; samples sets only the trace resolution."""
     cc = _require_c2(params)
     horizon, t = _setup(initial, params, horizon, samples)
-    return _conjunction("Theorem1", initial, cc, t, partial(F_function, initial, params),
-                        _F_falls(initial, params, horizon), cc.beta)
+    k = _F_terms(initial, params)
+    return _conjunction("Theorem1", initial, cc, t, partial(_width, k),
+                        _F_falls(initial, params, k, horizon), cc.beta)
 
 
 def _t0_bracket(X0: float, C0: float, params: SystemParams, cc: CriterionConstants):
@@ -302,28 +333,56 @@ def lemma2_threshold(initial: InitialFunctionals, params: SystemParams) -> dict:
 
 def energy_growth_bound(initial: InitialFunctionals, params: SystemParams, t):
     """E_max(t) = (E(0) + 2 kappa gamma S0(0) t) exp(2 gamma t)."""
-    t = np.asarray(t, dtype=float)
+    t = _times(t)
     out = (
         initial.energy + 2 * params.kappa * params.gamma * initial.s0 * t
     ) * np.exp(2 * params.gamma * t)
-    return out if out.ndim else float(out)
+    return _scalar(out)
+
+
+class _ZTerms(NamedTuple):
+    """The coefficients of the early-collapse bound, where h0 = Y0 - c4 X0
+    and inner(s) = 4N int_0^s e^{c4 sig} (E_max(sig) + kappa S0 e^{2 gamma sig}) dsig
+                 = 4N int_0^s e^{lam sig} (alpha + beta sig) dsig
+                 = 4N [A1 (e^{lam s} - 1) + A2 s e^{lam s}]."""
+
+    X0: float
+    h0: float
+    N: int
+    c4: float
+    lam: float
+    alpha: float
+    beta: float
+    A1: float
+    A2: float
 
 
 def _z_terms(initial: InitialFunctionals, params: SystemParams):
-    """c4, lam, alpha, beta, A1 and A2 of the early-collapse bound, where
-    inner(s) = 4N int_0^s e^{c4 sig} (E_max(sig) + kappa S0 e^{2 gamma sig}) dsig
-             = 4N int_0^s e^{lam sig} (alpha + beta sig) dsig
-             = 4N [A1 (e^{lam s} - 1) + A2 s e^{lam s}]."""
-    c4 = constants(params).c4
+    """The constants and the early-collapse bound's coefficients."""
+    cc = constants(params)
     if not in_early_collapse_regime(params):
         raise RegimeViolation(
             "early collapse needs g1 > 0, g2 <= 0, g <= 0; got "
             f"g1={params.g1}, g2={params.g2}, g={params.g}"
         )
+    c4 = cc.c4
     lam = c4 + 2 * params.gamma
     alpha = initial.energy + params.kappa * initial.s0
     beta = 2 * params.kappa * params.gamma * initial.s0
-    return c4, lam, alpha, beta, alpha / lam - beta / lam**2, beta / lam
+    return cc, _ZTerms(initial.msw, initial.mswRate - c4 * initial.msw, params.dim,
+                       c4, lam, alpha, beta, alpha / lam - beta / lam**2, beta / lam)
+
+
+def _Z(k: _ZTerms, t):
+    """Z with coefficients k at a float or array t, unchecked."""
+    X0, h0, N, c4, lam, _, _, A1, A2 = k
+    # e^{-2 c4 s} * inner(s) = 4N [ A1 (e^{mu s} - e^{-2 c4 s}) + A2 s e^{mu s} ],
+    # mu = 2 gamma - c4 < 0
+    mu = lam - 2 * c4
+    int_emu = np.expm1(mu * t) / mu
+    int_edecay = -np.expm1(-2 * c4 * t) / (2 * c4)
+    int_semu = t * np.exp(mu * t) / mu - np.expm1(mu * t) / mu**2
+    return X0 + h0 * int_edecay + 4 * N * (A1 * (int_emu - int_edecay) + A2 * int_semu)
 
 
 def early_collapse_Z(initial: InitialFunctionals, params: SystemParams, t):
@@ -333,23 +392,8 @@ def early_collapse_Z(initial: InitialFunctionals, params: SystemParams, t):
     are integrated exactly (the tests compare against nested adaptive
     quadrature).
     """
-    c4, lam, _, _, A1, A2 = _z_terms(initial, params)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
-    N, X0, Y0 = params.dim, initial.msw, initial.mswRate
-    # e^{-2 c4 s} * inner(s) = 4N [ A1 (e^{mu s} - e^{-2 c4 s}) + A2 s e^{mu s} ],
-    # mu = 2 gamma - c4 < 0
-    mu = lam - 2 * c4
-    int_emu = np.expm1(mu * t) / mu
-    int_edecay = -np.expm1(-2 * c4 * t) / (2 * c4)
-    int_semu = t * np.exp(mu * t) / mu - np.expm1(mu * t) / mu**2
-    out = (
-        X0
-        + (Y0 - c4 * X0) * int_edecay
-        + 4 * N * (A1 * (int_emu - int_edecay) + A2 * int_semu)
-    )
-    return out if out.ndim else float(out)
+    _, k = _z_terms(initial, params)
+    return _scalar(_Z(k, _times(t)))
 
 
 def check_theorem2(
@@ -365,18 +409,17 @@ def check_theorem2(
     and rises after.  Z(0) = X0 >= 0, so Z's first zero lies on its falling
     piece.  samples sets only the trace resolution."""
     horizon, t = _setup(initial, params, horizon, samples)
-    c4, lam, alpha, beta, A1, A2 = _z_terms(initial, params)
-    h0, N = initial.mswRate - c4 * initial.msw, params.dim
+    cc, k = _z_terms(initial, params)
+    _, h0, N, _, lam, alpha, beta, A1, A2 = k
 
     def slope(tt):  # h(t) e^{-lam t}: the sign of Z', without overflow
         return h0 * math.exp(-lam * tt) - 4 * N * (A1 * math.expm1(-lam * tt) - A2 * tt)
 
     low = -alpha / beta if beta > 0 else math.inf if alpha < 0 else 0.0
-    Z = partial(early_collapse_Z, initial, params)
     piece = _falling_piece(slope, low, horizon)
-    t0 = _bisect(lambda tt: Z(tt) <= 0, *piece) if piece else None
-    return CriterionReport("Theorem2", t0 is not None, t0, {"t": t, "Z": Z(t)},
-                           initial, constants(params))
+    t0 = _bisect(lambda tt: _Z(k, tt) <= 0, *piece) if piece else None
+    return CriterionReport("Theorem2", t0 is not None, t0, {"t": t, "Z": _Z(k, t)},
+                           initial, cc)
 
 
 def _require_manakov(params: SystemParams):
@@ -420,16 +463,16 @@ def manakov_invariants(initial: InitialFunctionals, params: SystemParams) -> dic
     return out
 
 
+def _manakov_terms(initial: InitialFunctionals, params: SystemParams) -> _Width:
+    """F-hat's coefficients."""
+    N = params.dim
+    a = (8 * N / (N + 2)) * (initial.energy - params.kappa * initial.s1)
+    return _Width(initial.msw, initial.mswRate, a, 0.0, 0.0)
+
+
 def manakov_F(initial: InitialFunctionals, params: SystemParams, t):
     """Quadratic width bound of the Manakov reformulation."""
-    t = np.asarray(t, dtype=float)
-    N = params.dim
-    out = (
-        initial.msw
-        + initial.mswRate * t
-        + (8 * N / (N + 2)) * (initial.energy - params.kappa * initial.s1) * t**2
-    )
-    return out if out.ndim else float(out)
+    return _scalar(_width(_manakov_terms(initial, params), _times(t)))
 
 
 def check_manakov_theorem(
@@ -451,9 +494,9 @@ def check_manakov_theorem(
     if not params.g > 0:
         raise RegimeViolation(f"Manakov check needs g > 0, got g={params.g}")
     horizon, t = _setup(initial, params, horizon, samples)
-    a = (8 * N / (N + 2)) * (initial.energy - params.kappa * initial.s1)
+    k = _manakov_terms(initial, params)
     # F-hat' = Y0 + 2at is linear: it falls for ever if a < 0 and rises if not
-    piece = _falling_piece(lambda tt: initial.mswRate + 2 * a * tt,
-                           math.inf if a < 0 else 0.0, horizon)
-    return _conjunction("Manakov", initial, cc, t, partial(manakov_F, initial, params),
+    piece = _falling_piece(lambda tt: k.Y0 + 2 * k.a * tt,
+                           math.inf if k.a < 0 else 0.0, horizon)
+    return _conjunction("Manakov", initial, cc, t, partial(_width, k),
                         piece, 48 * N * params.gamma / (N + 2))

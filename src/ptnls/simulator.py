@@ -11,17 +11,18 @@ scipy, which supplies zgtsv, is imported at the first solve, not with this
 module: importing it takes about 0.3 s and the closed-form criteria never
 solve, so `import ptnls` and a `ptnls criteria` job do without it (README,
 "Install and test", quotes the measured start-up times).
-_pool_map imports it before it starts a worker pool, so workers forked
-from a parent that has not solved yet inherit it rather than each
-importing it again; a spawn or forkserver worker imports it itself at its
-first solve.
+convergence_check and a simulate sweep import it before they start a
+worker pool, so workers forked from a parent that has not solved yet
+inherit it rather than each importing it again; a spawn or forkserver
+worker imports it itself at its first solve.  ProcessPoolExecutor, which
+brings multiprocessing and socket, is likewise imported at the first pool.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
@@ -412,6 +413,15 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+def __getattr__(name):
+    """ProcessPoolExecutor, imported at the first pool."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _pool_map(fn: Callable, items: Iterable, workers: int) -> list:
     """fn applied to each item, the results in item order.
 
@@ -420,14 +430,14 @@ def _pool_map(fn: Callable, items: Iterable, workers: int) -> list:
     1.  fn and the items are pickled, so fn must be a module-level function
     or a partial of one.  An exception raised by fn is raised here with its
     own type; a worker that dies raises BrokenProcessPool.  Every worker has
-    ended when this returns or raises.  The solver is loaded before the
-    pool starts, so that forked workers inherit it.
+    ended when this returns or raises.  A caller whose fn solves loads the
+    solver first, so that forked workers inherit it.
     """
     items = list(items)
     workers = min(workers, len(items), _cores())
     if workers > 1:
-        _zgtsv()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # an attribute of the module: __getattr__ imports it, a test may replace it
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
@@ -468,6 +478,7 @@ def convergence_check(
     for _ in range(refinements):
         g, c = levels[-1]
         levels.append((_refine_grid(g), replace(c, dt0=c.dt0 / 2, dtMin=c.dtMin / 2)))
+    _zgtsv()  # before the pool forks
     outcomes = _pool_map(partial(_run_level, ic, params), levels[::-1], len(levels))[::-1]
     t_stops = [o.tStop for o in outcomes]
     t_stop_diffs = [abs(b - a) for a, b in zip(t_stops, t_stops[1:])]

@@ -706,17 +706,44 @@ print(code, "scipy.linalg.lapack" in sys.modules)
 
     @pytest.mark.skipif(simulator._cores() < 2 or multiprocessing.get_start_method() != "fork",
                         reason="needs two cores and forked workers")
-    def test_forked_workers_inherit_the_solver(self):
-        out = _fresh("""
+    def test_forked_workers_inherit_the_solver(self, tmp_path):
+        # the two callers whose workers solve load the solver before they
+        # fork; a criteria sweep, whose workers never solve, does not
+        sweeps = _fresh(f"""
 import sys
-from ptnls import simulator
+from pathlib import Path
+from ptnls import cli, simulator
 
-def solver_loaded(_):
-    return "scipy.linalg.lapack" in sys.modules
+def point(spec, out, value):
+    return value, str("scipy.linalg.lapack" in sys.modules), 0.0
 
-print("scipy" in sys.modules, simulator._pool_map(solver_loaded, range(2), 2))
+cli._sweep_point = point
+simulator._cores = lambda: 2
+for target in ("criteria", "simulate"):
+    out = Path({str(tmp_path)!r}) / target
+    text = {CRITERIA_SWEEP!r}.replace("criteria\\n", target + "\\n")
+    cli.run_job(cli.parse_config(text, "sweep", out), workers=2)
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    print(target, [row.split(",")[1] for row in rows], "scipy" in sys.modules)
 """)
-        assert out == "False [True, True]\n"
+        assert sweeps == ("criteria ['False', 'False', 'False'] False\n"
+                          "simulate ['True', 'True', 'True'] True\n")
+        levels = _fresh("""
+import sys
+import numpy as np
+from ptnls import GaussianIC, RadialGrid, RunConfig, SystemParams, simulator
+
+def level(ic, params, level):
+    trace = {"t": np.array([0.0, 1.0]), "S0": np.array([1.0, 1.0])}
+    return simulator.RunOutcome(str("scipy.linalg.lapack" in sys.modules), 1.0, "None", trace)
+
+simulator._run_level = level
+simulator._cores = lambda: 2
+rep = simulator.convergence_check(GaussianIC(1.0, 1.0), SystemParams(gamma=0.5, kappa=1.0),
+                                  RadialGrid(4.0, 31), RunConfig())
+print("scipy" in sys.modules and rep.verdicts)
+""")
+        assert levels == "['True', 'True']\n"
 
 
 _CRITERIA_KEYS = (

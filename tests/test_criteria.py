@@ -592,3 +592,86 @@ def test_check_agrees_with_a_dense_scan(kind, data):
     else:
         scan = np.linspace(0.0, horizon, 2**14 + 1)[1:]
         assert _first_hit_oracle(kind, ini, p, scan) is None
+
+
+# Each public bound, with parameters in its regime.
+_BOUNDS = {
+    "F_function": (F_function, params()),
+    "M_function": (M_function, params()),
+    "G_function": (G_function, params()),
+    "early_collapse_Z": (early_collapse_Z, params(g1=4.0, g2=-1.0, g=-0.5)),
+    "manakov_F": (manakov_F, params()),
+    "energy_growth_bound": (energy_growth_bound, params()),
+}
+
+
+@pytest.mark.parametrize("name", list(_BOUNDS))
+def test_bound_rejects_times_not_finite_and_non_negative(name):
+    bound, p = _BOUNDS[name]
+    ini = make_initial(s0=1.0, energy=-3.0, mswRate=0.5)
+    assert isinstance(bound(ini, p, 0.5), float)
+    assert bound(ini, p, [0.0, -0.0, 0.5]).shape == (3,)
+    for bad in (-0.1, -math.inf, math.nan, math.inf, [0.5, math.nan], [[0.1], [math.inf]]):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            bound(ini, p, bad)
+
+
+def test_constants_computed_once_per_check(monkeypatch):
+    """Each check computes its constants once, not at every evaluation of
+    a bound during its bisections."""
+    p2 = params(gamma=0.45, g1=4.0, g2=-1.0, g=-0.5)
+    cases = {
+        "theorem1": (check_theorem1, make_initial(s0=1.0, energy=-2000.0, msw=0.01), params()),
+        "theorem2": (check_theorem2, gaussian_moments(GaussianIC(5.8, 0.9, 1.0, 1.0), p2), p2),
+        "manakov": (check_manakov_theorem, make_initial(s0=1.0, energy=-2000.0, msw=0.01),
+                    params()),
+    }
+    calls = []
+    real = ptnls.criteria.constants
+    monkeypatch.setattr(ptnls.criteria, "constants", lambda p: calls.append(p) or real(p))
+    for kind, (check, ini, p) in cases.items():
+        calls.clear()
+        assert check(ini, p).satisfied, kind  # so that every bisection ran
+        assert len(calls) == 1, kind
+
+
+# The public bounds behind each check's trace columns; the Manakov M-hat
+# and G-hat have none.
+_TRACE_BOUNDS = {
+    "theorem1": (("F", F_function), ("M", M_function), ("G", G_function)),
+    "theorem2": (("Z", early_collapse_Z),),
+    "manakov": (("F", manakov_F),),
+}
+
+
+def _predicate(kind, ini, p, T):
+    """The check's predicate at T, from the public bounds (F-hat + 1 < 0
+    alone for Manakov)."""
+    if kind == "theorem2":
+        return early_collapse_Z(ini, p, T) <= 0
+    if kind == "theorem1":
+        return F_function(ini, p, T) + 1 < 0 and G_function(ini, p, T) < 1
+    return manakov_F(ini, p, T) + 1 < 0
+
+
+@pytest.mark.parametrize("kind", list(_CHECKS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_trace_is_the_public_bounds(kind, data):
+    """A check evaluates the bare closed forms; its trace columns equal the
+    public bounds at the trace times bit for bit, and a certified time
+    satisfies the predicate that the public bounds state."""
+    check, param_strategy = _CHECKS[kind]
+    p = data.draw(param_strategy)
+    ini = make_initial(
+        s0=data.draw(st.floats(0.0, 5.0)), s1=data.draw(st.floats(-3.0, 3.0)),
+        msw=data.draw(st.floats(0.0, 3.0)), mswRate=data.draw(st.floats(-60.0, 20.0)),
+        energy=data.draw(st.one_of(st.floats(-1e4, -100.0), st.floats(-100.0, 50.0))),
+    )
+    horizon = data.draw(st.one_of(st.none(), st.floats(0.01, 20.0)))
+    rep = check(ini, p, horizon, data.draw(st.integers(0, 64)))
+    tr = rep.functionTrace
+    for name, bound in _TRACE_BOUNDS[kind]:
+        assert np.array_equal(tr[name], bound(ini, p, tr["t"])), name
+    if rep.satisfied:
+        assert _predicate(kind, ini, p, rep.certifiedTime)
