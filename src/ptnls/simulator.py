@@ -4,8 +4,10 @@ Works in the reduced variables p = r*u, q = r*v, held as the rows of one
 (2, n) array, on a uniform grid with zero boundary values at r = 0 and
 r = L.  The stepper is Crank-Nicolson with the nonlinear factor handled by
 lagged fixed-point correction; each corrector pass solves the (p, q) pair
-with one LAPACK zgtsv call, and writes its operands into scratch arrays
-that run makes once per run.
+in Cayley form with one LAPACK zgtsv call, and writes its operands into
+scratch arrays that run makes once per run.  What a pass needs that
+depends only on dt, dr and the coefficients is kept with those arrays
+and made again only when one of them changes.
 
 scipy, which supplies zgtsv, is imported at the first solve, not with this
 module: importing it takes about 0.3 s and the closed-form criteria never
@@ -34,6 +36,11 @@ from .functionals import TRACE_COLUMNS, grid_functionals
 from .model import GaussianIC, SystemParams, evaluate_ic
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int or numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform grid of n interior nodes on [0, L]; dr = L/(n+1)."""
@@ -44,7 +51,7 @@ class RadialGrid:
     def __post_init__(self):
         if not 0 < self.L < math.inf:
             raise ValueError("L must be finite and > 0")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+        if not _is_int(self.n):
             raise ValueError("n must be an integer")
         if self.n < 16:
             raise ValueError("need at least 16 interior nodes")
@@ -103,9 +110,7 @@ class RunConfig:
             raise ConfigInvalid("need dt0 >= dtMin > 0")
         if not self.blowupRatio > 1:
             raise ConfigInvalid("blowupRatio must be > 1")
-        counts = (self.sampleEvery, self.cnIterations)
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-                   for c in counts):
+        if not all(map(_is_int, (self.sampleEvery, self.cnIterations))):
             raise ConfigInvalid("sampleEvery and cnIterations must be integers")
         if self.tMax <= 0 or self.sampleEvery < 1 or self.cnIterations < 1:
             raise ConfigInvalid("tMax, sampleEvery, cnIterations must be positive")
@@ -137,32 +142,29 @@ def _zgtsv():
     return zgtsv
 
 
-def _tridiag_solve(diag, off, rhs, links):
-    """Solve each row of rhs with that row of diag on the diagonal and off
-    beside it, as one system whose off-diagonal is zero where two rows meet;
-    elimination does not cross that zero link.  Overwrites diag and rhs,
-    and returns the solution in rhs's memory.
+def _links(n: int, off: complex) -> np.ndarray:
+    """zgtsv's sub- and superdiagonal, one row each, for two systems of n
+    rows stacked as one of 2n: off everywhere but where the two meet, which
+    is zero, so that elimination does not cross from one into the other."""
+    links = np.full((2, 2 * n - 1), off)
+    links[:, n - 1] = 0
+    return links
 
-    links, one row each for zgtsv's sub- and superdiagonal, is scratch
-    space: it is filled here on every call, so one array serves every solve
-    of a run with the same operands bit for bit."""
+
+def _tridiag_solve(diag, links, rhs, scratch):
+    """Solve each row of rhs with that row of diag on the diagonal and the
+    off-diagonals links, made by _links, beside it.  Overwrites diag, rhs and
+    scratch, and returns the solution in rhs's memory; links is copied into
+    scratch, which zgtsv overwrites, and is left as it was, so one links
+    serves every solve with the same off-diagonal."""
     if not (np.isfinite(diag.view(float)).all() and np.isfinite(rhs.view(float)).all()):
         raise SolverDiverged("non-finite operands in the tridiagonal solve")
-    links.fill(off)
-    links[:, diag.shape[-1] - 1 :: diag.shape[-1]] = 0
-    *_, x, info = _zgtsv()(links[0], diag.ravel(), links[1], rhs.ravel(),
+    np.copyto(scratch, links)
+    *_, x, info = _zgtsv()(scratch[0], diag.ravel(), scratch[1], rhs.ravel(),
                            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise SolverDiverged(f"tridiagonal solve failed: zgtsv info = {info}")
     return x.reshape(rhs.shape)
-
-
-def _lap(f: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """dr^2 times the 3-point Laplacian along the last axis, zero outside."""
-    np.multiply(-2.0, f, out=out)
-    out[..., :-1] += f[..., 1:]
-    out[..., 1:] += f[..., :-1]
-    return out
 
 
 def _abs2(f: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -171,23 +173,59 @@ def _abs2(f: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.add(out, np.multiply(f.imag, f.imag, out=scratch), out=out)
 
 
+class _Operator(NamedTuple):
+    """The part of a step that depends only on dt, dr and the coefficients."""
+
+    dc: np.ndarray  # (2, 1) complex: the diagonal without w, 1 - k (gain - 2i/dr^2)
+    ik_kappa: complex
+    first: np.ndarray  # (2, 2): k (g1, g; g, g2), the nonlinear coupling of the first pass
+    later: np.ndarray  # the same halved, for the passes after it
+    links: np.ndarray  # (2, 2n - 1) complex: the off-diagonals, from _links
+
+
+def _operator(ops: dict, grid: RadialGrid, params, dt: float) -> _Operator:
+    """The step's _Operator, from ops if the last step that used ops had the
+    same dt, dr and coefficients, else made and left there in its place.
+    The key is those numbers, not the params object, so any object with the
+    five coefficient attributes will do."""
+    key = (dt, grid.dr, params.gamma, params.kappa, params.g1, params.g2, params.g)
+    op = ops.get(key)
+    if op is None:
+        k = dt / 2.0
+        kr = k / grid.dr**2
+        gain = np.array([[params.gamma], [-params.gamma]])
+        g = np.array([[params.g1, params.g], [params.g, params.g2]])
+        ops.clear()
+        op = ops[key] = _Operator(
+            dc=1.0 - k * gain + 2j * kr,
+            ik_kappa=1j * k * params.kappa,
+            first=k * g,
+            later=0.5 * k * g,
+            links=_links(grid.n, -1j * kr),
+        )
+    return op
+
+
 class _Workspace(NamedTuple):
     """Scratch arrays for the steps of one run on n nodes; every step
-    overwrites them, so none outlives the step that wrote it."""
+    overwrites them, so none outlives the step that wrote it.  ops holds the
+    last step's _Operator, which the next step reuses if its dt, dr and
+    coefficients are the same."""
 
-    c0: np.ndarray  # (2, n) complex: the part of rhs fixed for the step
-    diag: np.ndarray  # (2, n) complex: (1 + k gain) f0, i k w, then the diagonal
+    b: np.ndarray  # (2, n) complex: 2 f0 - i k kappa f0[::-1]
+    diag: np.ndarray  # (2, n) complex: i k w, then the diagonal
     coupling: np.ndarray  # (2, n) complex: i k kappa times the swapped guess
     f2_0: np.ndarray  # (2, n) float: |f0|^2
     f2m: np.ndarray  # (2, n) float: the midpoint |f|^2
     w: np.ndarray  # (2, n) float: k times the frozen nonlinear factor
-    links: np.ndarray  # (2, 2n - 1) complex: zgtsv's off-diagonals
+    links: np.ndarray  # (2, 2n - 1) complex: the operator's links, for zgtsv to overwrite
+    ops: dict  # {(dt, dr, coefficients): _Operator}, at most one entry
 
 
 def _workspace(n: int) -> _Workspace:
     c = [np.empty((2, n), complex) for _ in range(3)]
     f = [np.empty((2, n)) for _ in range(3)]
-    return _Workspace(*c, *f, np.empty((2, 2 * n - 1), complex))
+    return _Workspace(*c, *f, np.empty((2, 2 * n - 1), complex), {})
 
 
 def step(
@@ -206,65 +244,58 @@ def step(
     gamma = 0); the linear coupling is averaged between the old level and
     the current corrector guess fs (f0 on the first pass).  f0 is state.f,
     the old time level, which step reads and never writes.  With k = dt/2
-    each pass solves, for f,
+    and M = 1 - k (i lap + gain + i w), each pass solves, for f,
 
-        (1 - k (i lap + gain + i w)) f
-            = f0 + k (i lap f0 + gain f0 + i w f0) - i k kappa (f0 + fs)[::-1]
+        M f = (2 - M) f0 - i k kappa (f0 + fs)[::-1]
 
-    where [::-1] swaps the p and q rows.  k is distributed over the terms,
-    so that a pass forms only what depends on its guess:
-    rhs = i k w f0 + c0 - i k kappa fs[::-1] and diag = dc - i k w, with
-    c0 = f0 + k (i lap f0 + gain f0) - i k kappa f0[::-1] and
-    dc = 1 - k (-2i/dr^2 + gain) formed once per step and 1/r^2 once per
-    grid (RadialGrid.inv_r2).
+    where [::-1] swaps the p and q rows.  It does so in Cayley form: it
+    solves M z = b - i k kappa fs[::-1], with b = 2 f0 - i k kappa f0[::-1]
+    formed once per step, and takes f = z - f0.  That is the same scheme
+    with rounding in a different order, and it never applies the Laplacian
+    to f0.  A pass forms only w, the diagonal dc - i k w and the guess's
+    coupling term.  dc = 1 - k (gain - 2i/dr^2), i k kappa, k times the
+    coefficient matrix (g1, g; g, g2) and zgtsv's off-diagonals depend
+    only on dt, dr and the coefficients; _operator keeps them in work until
+    one of those changes, which in a run is when dt halves.  1/r^2 is made
+    once per grid (RadialGrid.inv_r2).
 
     work holds scratch arrays from _workspace(grid.n), which run makes once
     and passes to every step; with None a fresh set is made.  Each step
-    writes every one of them before it reads it, so the result does not
-    depend on what they held.  Only each pass's right-hand side is new,
-    because the solve returns the field in it; the returned state shares no
-    memory with work or with state.f.  Overflow raises no warning: the
-    finiteness checks report it as SolverDiverged.
+    writes every scratch array before it reads it, and the cached operator
+    is a function of its key, so the result does not depend on what work
+    held.  Only each pass's right-hand side is new, because the solve
+    returns the field in it; the returned state shares no memory with work
+    or with state.f.  Overflow raises no warning: the finiteness checks
+    report it as SolverDiverged.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
+    if not _is_int(cn_iterations):
+        raise ValueError("cn_iterations must be an integer")
     if cn_iterations < 1:
         raise ValueError("cn_iterations must be >= 1")
     grid = state.grid
     work = _workspace(grid.n) if work is None else work
-    k = dt / 2.0
-    kr = k / grid.dr**2
-    gain = np.array([[params.gamma], [-params.gamma]])
-    g12 = np.array([[params.g1], [params.g2]])
-    ik_kappa = 1j * k * params.kappa
-    f0, c0, coupling, f2_0 = state.f, work.c0, work.coupling, work.f2_0
+    op = _operator(work.ops, grid, params, dt)
+    f0, b, coupling, f2_0 = state.f, work.b, work.coupling, work.f2_0
     with np.errstate(over="ignore", invalid="ignore"):
-        _abs2(f0, out=f2_0, scratch=work.w)
-        # the first pass's coupling term is the f0 half of c0's
-        np.multiply(ik_kappa, f0[::-1], out=coupling)
-        np.multiply(1j * kr, _lap(f0, out=c0), out=c0)
-        c0 += np.multiply(1.0 + k * gain, f0, out=work.diag)
-        c0 -= coupling
-        dc = 1.0 - k * gain + 2j * kr
-        fs = f0
-        for _ in range(cn_iterations):
-            # k times the midpoint |f|^2 is k |f0|^2 on the first pass and
-            # k/2 (|f0|^2 + |fs|^2) after it
-            if fs is f0:
-                f2m, scale = f2_0, k
-            else:
+        f2m = _abs2(f0, out=f2_0, scratch=work.w)
+        # the first pass's coupling term is the f0 half of b's
+        np.multiply(op.ik_kappa, f0[::-1], out=coupling)
+        np.subtract(np.add(f0, f0, out=b), coupling, out=b)
+        kg = op.first
+        for i in range(cn_iterations):
+            # the midpoint |f|^2 is |f0|^2 on the first pass and
+            # (|f0|^2 + |fs|^2)/2 after it; op.later holds the 1/2
+            if i:
                 f2m = np.add(f2_0, _abs2(fs, out=work.f2m, scratch=work.w), out=work.f2m)
-                scale = 0.5 * k
-                np.multiply(ik_kappa, fs[::-1], out=coupling)
-            kw = np.multiply(scale * params.g, f2m[::-1], out=work.w)
-            kw += np.multiply(scale * g12, f2m, out=work.f2m)
+                kg = op.later
+                np.multiply(op.ik_kappa, fs[::-1], out=coupling)
+            kw = np.matmul(kg, f2m, out=work.w)
             kw *= grid.inv_r2
-            ikw = np.multiply(1j, kw, out=work.diag)
-            rhs = np.multiply(ikw, f0)
-            rhs += c0
-            rhs -= coupling
-            diag = np.subtract(dc, ikw, out=ikw)
-            fs = _tridiag_solve(diag, -1j * kr, rhs, work.links)
+            diag = np.subtract(op.dc, np.multiply(1j, kw, out=work.diag), out=work.diag)
+            fs = _tridiag_solve(diag, op.links, np.subtract(b, coupling), work.links)
+            fs -= f0
     if not np.all(np.isfinite(fs.view(float))):
         raise SolverDiverged(f"non-finite field values at t={state.t + dt:g}")
     return replace(state, f=fs, t=state.t + dt)
@@ -470,7 +501,7 @@ def convergence_check(
     exception raised by a run is raised here with its own type, and a
     worker process that dies raises BrokenProcessPool.
     """
-    if isinstance(refinements, bool) or not isinstance(refinements, (int, np.integer)):
+    if not _is_int(refinements):
         raise ValueError("refinements must be an integer")
     if refinements < 1:
         raise ValueError("refinements must be >= 1")

@@ -22,7 +22,7 @@ from ptnls import (
     run,
     step,
 )
-from ptnls.simulator import _advance, _tridiag_solve, _workspace
+from ptnls.simulator import _advance, _links, _tridiag_solve, _workspace
 
 
 def params(gamma=0.5, kappa=1.0, g1=1.0, g2=1.0, g=1.0):
@@ -151,14 +151,27 @@ class TestStepLinearOracle:
         for dt in (0.0, -1e-3, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="dt must be finite and > 0"):
                 step(st, params(), dt)
-        with pytest.raises(ValueError):
-            step(st, params(), 1e-3, 0)
+        for cn in (0, -1):
+            with pytest.raises(ValueError, match=">= 1"):
+                step(st, params(), 1e-3, cn)
+        # as RunConfig does: True ran one pass, 2.0 and nan escaped range()
+        for cn in (True, False, 2.0, 1.5, math.nan, "2", None):
+            with pytest.raises(ValueError, match="must be an integer"):
+                step(st, params(), 1e-3, cn)
+        assert step(st, params(), 1e-3, np.int64(2)).t == 1e-3
 
     def test_overflow_inside_step_is_divergence(self):
-        # w * p overflows in the right-hand side, before any solve
-        st = linear_mode_state(RadialGrid(8.0, 63), 1, 1e150, 1.0)
+        # |p|^2 overflows, so the diagonal dc - i k w is not finite before any solve
+        grid, prm = RadialGrid(8.0, 63), SystemParams(0.5, 1.0)
+        st = linear_mode_state(grid, 1, 1e155, 1.0)
         with pytest.raises(SolverDiverged):
-            step(st, SystemParams(0.5, 1.0), 1e-3)
+            step(st, prm, 1e-3)
+        # a huge but finite w dominates the diagonal: the pass takes p to about
+        # -p, a finite step with the input's peak
+        st = linear_mode_state(grid, 1, 1e150, 1.0)
+        new = step(st, prm, 1e-3)
+        assert np.all(np.isfinite(new.f))
+        assert np.max(np.abs(new.f)) == pytest.approx(np.max(np.abs(st.f)), rel=1e-12)
 
 
 class TestStepFormula:
@@ -239,16 +252,20 @@ class TestTridiagSolve:
             solve_banded((1, 1), np.array([np.r_[0, band], d, np.r_[band, 0]]), b)
             for d, b in zip(diag, rhs)
         ]
-        got = _tridiag_solve(diag.copy(), off, rhs.copy(), np.empty((2, 2 * n - 1), complex))
+        links = _links(n, off)
+        kept = links.copy()
+        got = _tridiag_solve(diag.copy(), links, rhs.copy(), np.empty((2, 2 * n - 1), complex))
         assert got.shape == (2, n)
         # a link between the rows would couple them and change both
         for row, ref in zip(got, expected):
             assert np.array_equal(row, ref)
+        # the off-diagonals are copied for zgtsv to overwrite, not overwritten
+        assert np.array_equal(links, kept)
 
     def test_singular_matrix_is_divergence(self):
         with pytest.raises(SolverDiverged):
-            _tridiag_solve(np.zeros((2, 17), complex), 0j, np.ones((2, 17), complex),
-                           np.empty((2, 33), complex))
+            _tridiag_solve(np.zeros((2, 17), complex), _links(17, 0j),
+                           np.ones((2, 17), complex), np.empty((2, 33), complex))
 
 
 class TestWorkspace:
@@ -272,6 +289,27 @@ class TestWorkspace:
             want = step(st, p, 1e-3, cn, work=None)
             assert np.array_equal(got.f.view(float), want.f.view(float))
 
+    def test_cached_operator_gives_the_same_bytes(self):
+        # one workspace across steps that change dt, dr (two grids of equal n)
+        # or one coefficient at a time: the operator it caches must follow
+        # every one of them
+        base = dict(gamma=0.3, kappa=1.0, g1=1.0, g2=0.7, g=-0.5)
+        prms = [params(**base)]
+        for name, value in (("gamma", 0.6), ("kappa", 0.4), ("g1", 1.5), ("g2", 0.2),
+                            ("g", 0.9)):
+            prms += [params(**{**base, name: value}), params(**base)]
+        grids = (self.GRID, RadialGrid(9.0, self.GRID.n))
+        ic = GaussianIC(1.5, 0.7, 0.6, 0.4)
+        work = _workspace(self.GRID.n)
+        for grid in grids * 2:
+            st = load_initial(ic, grid, prms[0])
+            for dt in (1e-3, 2e-3, 2e-3, 1e-3):
+                for p in prms:
+                    got = step(st, p, dt, 2, work=work)
+                    want = step(st, p, dt, 2, work=None)
+                    assert np.array_equal(got.f.view(float), want.f.view(float)), (
+                        grid.L, dt, p)
+
     def test_step_leaves_its_input_as_it_was(self):
         # step reads state.f as the old time level and never writes into it
         p, st = self.states()
@@ -288,7 +326,8 @@ class TestWorkspace:
         p, st = self.states()
         work = _workspace(self.GRID.n)
         new = step(st, p, 1e-3, work=work)
-        for arr in (*work, st.f):
+        (op,) = work.ops.values()
+        for arr in (*work[:-1], op.dc, op.links, st.f):
             assert not np.shares_memory(new.f, arr)
         # the next step overwrites the workspace and leaves new as it was
         kept = new.f.copy()
