@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 from scipy.linalg import expm, solve_banded
 
 from ptnls import (
@@ -22,7 +23,7 @@ from ptnls import (
     run,
     step,
 )
-from ptnls.simulator import _advance, _links, _tridiag_solve, _workspace
+from ptnls.simulator import _accepted, _links, _tridiag_solve, _verdict, _workspace
 
 
 def params(gamma=0.5, kappa=1.0, g1=1.0, g2=1.0, g=1.0):
@@ -436,26 +437,30 @@ class TestRun:
         assert out.tStop == 1.0
         assert times[-1] == 1.0 and times[-1] - times[-2] > 0.01
 
-    def test_advance_clips_to_horizon(self):
-        # every step that run attempts goes through _advance
+    def test_accepted_clips_to_horizon(self):
+        # every step that run takes comes from _accepted
         p = params(gamma=0.1)
         cfg = RunConfig(dt0=1e-3, dtMin=1e-6, tMax=0.5)
         st0 = load_initial(GaussianIC(0.2, 0.2, 1.0, 1.0), RadialGrid(16.0, 63), p)
-        dt = 1e-3
-        # clear of the horizon: one whole step of the caller's dt
-        far = _advance(st0, p, dt, cfg)
+        dt = cfg.dt0
+
+        def stream(state):
+            return list(_accepted(state, p, cfg, _workspace(state.grid.n)))
+
+        # clear of the horizon: one whole step of dt
+        far = next(_accepted(st0, p, cfg, _workspace(st0.grid.n)))
         want = step(st0, p, dt, cfg.cnIterations)
         assert far.t == dt
         assert np.array_equal(far.f, want.f)
         # less than dt left: the step covers the remainder and ends on tMax
         st = replace(st0, t=cfg.tMax - 4e-4)
-        near = _advance(st, p, dt, cfg)
+        [near] = stream(st)
         want = step(st, p, cfg.tMax - st.t, cfg.cnIterations)
         assert near.t == cfg.tMax
         assert np.array_equal(near.f, want.f)
         # a remainder a rounding residue above dt is taken whole, not left over
         st = replace(st0, t=cfg.tMax - dt * (1 + 1e-9))
-        assert _advance(st, p, dt, cfg).t == cfg.tMax
+        assert [s.t for s in stream(st)] == [cfg.tMax]
 
     def test_trace_is_time_ordered(self):
         out = run(
@@ -470,24 +475,28 @@ class TestRun:
 
 
 class TestRunExits:
-    """Every way out of run's accept/reject loop, on a scripted stepper.
+    """Every way out of run and its accept/reject loop, on a scripted stepper.
 
     The k-th call of the replaced step multiplies (p, q) by the k-th pair of
     factors, or raises it if it is an exception, or returns a finite field
-    whose modulus overflows if it is OVERFLOW.  dtMin == dt0 switches the
-    growth rejection off, so every scripted step is accepted.  Factors of 2
-    scale the origin ratio exactly.
+    whose modulus overflows if it is OVERFLOW.  CFG's dtMin == dt0 switches
+    the growth rejection off, so every scripted step is accepted; the dt
+    policy test lowers dtMin.  Factors of 2 scale the origin ratio exactly.
     """
 
     OVERFLOW = "overflow"
     CFG = RunConfig(dt0=0.01, dtMin=0.01, blowupRatio=4.0, tMax=1.0, sampleEvery=100)
 
-    def run_script(self, monkeypatch, script, cfg=CFG):
+    def run_script(self, monkeypatch, script, cfg=CFG, dts=None):
+        """run on the script; calls is the t of each step call, and dts, if
+        given, collects their dt."""
         calls = []
 
         def scripted(state, params, dt, cn_iterations=2, **_):
             entry = script[len(calls)]
             calls.append(state.t)
+            if dts is not None:
+                dts.append(dt)
             if isinstance(entry, Exception):
                 raise entry
             if entry == self.OVERFLOW:
@@ -535,6 +544,89 @@ class TestRunExits:
         # every script crosses on its second step; the steps up to it are
         # sampled, the grace steps are not, and the final state closes the trace
         assert len(out.trace["t"]) == 3 + (n_calls > 2)
+
+
+    def test_growth_halves_dt_down_to_the_floor(self, monkeypatch):
+        # 0.01 halves twice to the floor 0.0025, where the growing step is
+        # accepted; the run then goes on at the halved dt
+        cfg = replace(self.CFG, dtMin=0.0025, tMax=0.03)
+        grow = (1.1, 1.1)
+        dts = []
+        out, calls = self.run_script(
+            monkeypatch, [(1.0, 1.0), grow, grow, grow] + [(1.0, 1.0)] * 20, cfg, dts
+        )
+        assert dts[:5] == [0.01, 0.01, 0.005, 0.0025, 0.0025]
+        # the rejected attempts start from the same t as the accepted one
+        assert calls[1] == calls[2] == calls[3] == 0.01
+        assert calls[4] == calls[3] + 0.0025
+        assert dts[4:-1] == [0.0025] * (len(dts) - 5)
+        # the last step is what is left of [0, tMax]
+        assert dts[-1] == cfg.tMax - calls[-1]
+        assert out.tStop == cfg.tMax
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        t_max=strategies.floats(1e-6, 1e6),
+        ratio=strategies.one_of(
+            strategies.floats(0.5, 300), strategies.integers(1, 300).map(float)
+        ),
+    )
+    def test_trace_times_stop_on_the_horizon(self, t_max, ratio):
+        # a step that leaves the field as it is costs microseconds, so the
+        # stop rule can be run over many tMax/dt0 ratios
+        def identity(state, params, dt, cn_iterations=2, **_):
+            return replace(state, t=state.t + dt)
+
+        dt0 = t_max / ratio
+        cfg = RunConfig(dt0=dt0, dtMin=dt0, tMax=t_max, sampleEvery=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("ptnls.simulator.step", identity)
+            out = run(GaussianIC(0.2, 0.2, 1.0, 1.0), params(), RadialGrid(8.0, 16), cfg)
+        times = out.trace["t"]
+        assert np.all(np.diff(times) > 0)
+        assert times.max() <= t_max
+        assert times[-1] == out.tStop == t_max
+
+
+class TestVerdict:
+    """_verdict on hand-built traces."""
+
+    CFG = RunConfig(blowupRatio=4.0, tMax=1.0)
+
+    @staticmethod
+    def trace(t, x, peak_u2=(1.0, 1.0), peak_v2=(1.0, 1.0)):
+        """A trace whose peaks go from their first to their last value."""
+        n = len(t)
+        return {
+            "t": np.array(t), "X": np.array(x),
+            "peakU2": np.linspace(*peak_u2, n), "peakV2": np.linspace(*peak_v2, n),
+        }
+
+    @pytest.mark.parametrize("trace, verdict", [
+        (trace(t=[0, 0.8, 0.9, 1.0], x=[1, 2, 2, 3]), "Dispersed"),
+        # the tail starts at 0.75 tMax itself
+        (trace(t=[0, 0.75, 1.0], x=[1, 2, 3]), "Dispersed"),
+        # a final peak exactly twice the initial amplitude is not bounded
+        (trace(t=[0, 0.8, 1.0], x=[1, 2, 3], peak_u2=(1.0, 4.0)), "MaxTimeReached"),
+        (trace(t=[0, 0.8, 1.0], x=[1, 2, 3], peak_v2=(0.25, 1.0)), "MaxTimeReached"),
+        # one tail sample shows no growth
+        (trace(t=[0, 0.5, 1.0], x=[1, 2, 3]), "MaxTimeReached"),
+        # the tail falls once
+        (trace(t=[0, 0.8, 0.85, 0.9, 1.0], x=[1, 2, 3, 2.9, 4]), "MaxTimeReached"),
+    ], ids=["dispersed", "tail-from-0.75", "peak-u-doubles", "peak-v-doubles",
+            "one-tail-sample", "tail-falls-once"])
+    def test_without_crossing(self, trace, verdict):
+        assert _verdict(trace, (1.0, 1.0), None, self.CFG) == (verdict, "None")
+
+    @pytest.mark.parametrize("ratios, lag, component", [
+        ((5.0, 1.0), 1.0, "U"),
+        ((1.0, 5.0), 1.0, "V"),
+        # a ratio equal to blowupRatio has crossed
+        ((5.0, 4.0), 4.0, "Both"),
+    ])
+    def test_after_crossing(self, ratios, lag, component):
+        trace = self.trace(t=[0, 0.1], x=[1, 1], peak_u2=(1.0, 100.0))
+        assert _verdict(trace, ratios, lag, self.CFG) == ("BlowupLike", component)
 
 
 class TestConvergence:
