@@ -52,6 +52,28 @@ EXIT_IO = 5
 
 MODES = ("criteria", "simulate", "sweep", "figure", "convergence")
 
+# The exit code of each error class, the first match winning: text that is not
+# UTF-8 does not parse, and an input too large to allocate cannot be evaluated.
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    UnicodeError: EXIT_PARSE,
+    SolverDiverged: EXIT_SOLVER,
+    OSError: EXIT_IO,
+    BrokenExecutor: EXIT_IO,  # a pool worker died
+    PtnlsError: EXIT_VALIDATION,
+    ValueError: EXIT_VALIDATION,
+    ArithmeticError: EXIT_VALIDATION,
+    MemoryError: EXIT_VALIDATION,
+}
+
+
+def _fail(exc: Exception) -> int:
+    """Print exc as one ``error:`` line and return its exit code."""
+    typed = isinstance(exc, (ValueError, ArithmeticError)) and not isinstance(exc, UnicodeError)
+    print(f"error: {exc!r}" if typed else f"error: {exc}", file=sys.stderr)
+    return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+
+
 @dataclass(frozen=True)
 class JobSpec:
     mode: str
@@ -384,16 +406,8 @@ def run_job(spec: JobSpec, workers: int = 1) -> int:
             _run_convergence_job(spec, out)
         else:
             raise ValidationError(f"unknown mode {spec.mode!r}")
-    except SolverDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (OSError, BrokenExecutor) as exc:  # a pool worker died
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (PtnlsError, ValueError, ArithmeticError) as exc:  # inputs out of reach
-        msg = exc if isinstance(exc, PtnlsError) else repr(exc)
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except tuple(_EXIT_CODES) as exc:
+        return _fail(exc)
     return EXIT_OK
 
 
@@ -410,17 +424,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         spec = parse_config(text, args.mode, Path(args.out))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValidationError, PtnlsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except tuple(_EXIT_CODES) as exc:
+        return _fail(exc)
     return run_job(spec, workers=max(1, args.workers))
 
 

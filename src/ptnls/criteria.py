@@ -120,10 +120,12 @@ def default_horizon(params: SystemParams) -> float:
 
 def _setup(initial: InitialFunctionals, params: SystemParams, horizon, samples):
     """The horizon (4/gamma if None) and the samples + 1 trace times of a
-    check; ValueError unless horizon > 0, samples >= 0 and X0, S0 >= 0."""
+    check; ValueError unless 0 < horizon < inf, samples >= 0 and X0, S0 >= 0."""
     horizon = default_horizon(params) if horizon is None else horizon
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
+    if horizon == math.inf:
+        raise ValueError("horizon must be finite")
     if samples < 0:
         raise ValueError("samples must be >= 0")
     if not (initial.msw >= 0 and initial.s0 >= 0):

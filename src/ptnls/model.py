@@ -18,6 +18,11 @@ import numpy as np
 from .errors import BrokenPhase
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int or numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class PhaseLabel(enum.Enum):
     UNBROKEN = "Unbroken"
     BROKEN = "Broken"
@@ -47,7 +52,7 @@ class SystemParams:
             raise ValueError("gamma must be >= 0")
         if not self.kappa > 0:
             raise ValueError("kappa must be > 0")
-        if int(self.dim) != self.dim or self.dim < 1:
+        if not _is_int(self.dim) or self.dim < 1:
             raise ValueError("dim must be an integer >= 1")
 
 

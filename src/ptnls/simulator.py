@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
@@ -33,12 +32,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, SolverDiverged
 from .functionals import TRACE_COLUMNS, grid_functionals
-from .model import GaussianIC, SystemParams, evaluate_ic
-
-
-def _is_int(x) -> bool:
-    """Whether x is an int or numpy integer, and not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+from .model import GaussianIC, SystemParams, _is_int, evaluate_ic
 
 
 @dataclass(frozen=True)
@@ -442,15 +436,6 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def __getattr__(name):
-    """ProcessPoolExecutor, imported at the first pool."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _pool_map(fn: Callable, items: Iterable, workers: int) -> list:
     """fn applied to each item, the results in item order.
 
@@ -465,8 +450,8 @@ def _pool_map(fn: Callable, items: Iterable, workers: int) -> list:
     items = list(items)
     workers = min(workers, len(items), _cores())
     if workers > 1:
-        # an attribute of the module: __getattr__ imports it, a test may replace it
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # brings multiprocessing
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -419,6 +420,24 @@ class TestInputErrors:
         assert code == EXIT_VALIDATION
         assert "samples must be >= 0" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_bytes(MINIMAL.encode() + b"params.g = 0.5\xff\n")
+        assert main(["criteria", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "can't decode byte 0xff" in err
+
+    # sizes beyond the address space, whose allocation fails at once
+    @pytest.mark.parametrize("mode, text", [
+        ("criteria", MINIMAL + "criteria.samples = 100000000000000000\n"),
+        ("simulate", FAST_SIM.replace("grid.n = 255", "grid.n = 100000000000000000")),
+    ], ids=["samples=1e17", "grid.n=1e17"])
+    def test_input_too_large_to_allocate_exits_3(self, tmp_path, capsys, mode, text):
+        assert self._main(tmp_path, mode, text) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+
     def test_sweep_duplicate_values_rejected(self, tmp_path):
         text = MINIMAL + "sweep.axis = ic.B\nsweep.values = 2,3,2.0\n"
         with pytest.raises(ValidationError):
@@ -499,7 +518,7 @@ def _inline_pool(sizes: list, items: list):
 def _counted_pool(sizes: list):
     """The real ProcessPoolExecutor, recording its size."""
 
-    class CountedPool(simulator.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers)
@@ -533,7 +552,7 @@ class TestSweepPool:
     ])
     def test_pool_size_is_capped(self, tmp_path, monkeypatch, workers, cores, size):
         sizes = []
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _inline_pool(sizes, []))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes, []))
         monkeypatch.setattr(simulator, "_cores", lambda: cores)
         spec = parse_config(CRITERIA_SWEEP, "sweep", tmp_path)
         assert run_job(spec, workers=workers) == EXIT_OK
@@ -543,7 +562,7 @@ class TestSweepPool:
     def test_workers_write_the_serial_bytes(self, tmp_path, monkeypatch):
         sizes = []
 
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _counted_pool(sizes))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _counted_pool(sizes))
         monkeypatch.setattr(simulator, "_cores", lambda: 2)
         text = FAST_SIM + "sweep.axis = ic.A\nsweep.values = 0.3,0.1,0.2\n"
         trees = {}
@@ -609,7 +628,7 @@ class TestConvergencePool:
 
     def test_pooled_report_equals_serial(self, monkeypatch):
         sizes = []
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _counted_pool(sizes))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _counted_pool(sizes))
         monkeypatch.setattr(simulator, "_cores", lambda: 2)  # same path on any machine
         pooled = convergence_check(*_COLLAPSE, refinements=2)
         assert sizes == [2]
@@ -629,7 +648,7 @@ class TestConvergencePool:
     ])
     def test_one_worker_per_level(self, monkeypatch, cores, refinements, size):
         sizes, items = [], []
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _inline_pool(sizes, items))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes, items))
         monkeypatch.setattr(simulator, "_cores", lambda: cores)
         monkeypatch.setattr(simulator, "run", _grid_run)
         rep = convergence_check(*_COLLAPSE, refinements=refinements)
@@ -641,7 +660,7 @@ class TestConvergencePool:
 
     def test_level_error_keeps_its_type(self, tmp_path, monkeypatch):
         sizes = []
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _counted_pool(sizes))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _counted_pool(sizes))
         monkeypatch.setattr(simulator, "_cores", lambda: 2)
         text = FAST_SIM.replace("ic.A = 0.2", "ic.A = 1e80")  # E(0) = -inf
         spec = parse_config(text, "convergence", tmp_path / "lib")
@@ -781,6 +800,20 @@ def test_criteria_exits_with_a_documented_code(values, dim):
         assert code in (EXIT_OK, EXIT_VALIDATION)
     else:
         assert code == EXIT_PARSE
+
+
+# Criteria mode only: an empty config runs the default criteria job in
+# milliseconds, where an empty simulate config would run n = 7999 to t = 5.
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.binary(max_size=120))
+@example(data=MINIMAL.encode() + b"params.g = 0.5\xff\n")
+@example(data=b"criteria.samples = 100000000000000000\n")
+def test_any_config_bytes_exit_with_a_documented_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "job.cfg"
+        cfg.write_bytes(data)
+        code = main(["criteria", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_SOLVER, EXIT_IO)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

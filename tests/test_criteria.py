@@ -516,6 +516,17 @@ def test_non_positive_horizon_rejected(check, p, horizon):
             check(bad, p)
 
 
+@pytest.mark.parametrize("check, p", [
+    (check_theorem1, params()),
+    (check_theorem2, params(g1=4.0, g2=-1.0, g=-0.5)),
+    (check_manakov_theorem, params()),
+], ids=["theorem1", "theorem2", "manakov"])
+def test_infinite_horizon_rejected(check, p):
+    # the trace times of [0, inf] are nan, so no verdict could be read off them
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        check(make_initial(), p, math.inf)
+
+
 def _sup_oracle(f, s):
     """sup of f over [0, s]: the best of 2^14 + 1 grid points, refined by a
     bounded Brent search between its neighbours."""

@@ -34,8 +34,11 @@ class TestSystemParams:
             SystemParams(gamma=0.5, kappa=0.0)
 
     def test_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
-            SystemParams(gamma=0.5, kappa=1.0, dim=0)
+        for dim in (0, -3, True, False, 3.0, 2.5, "3", None):
+            with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+                SystemParams(gamma=0.5, kappa=1.0, dim=dim)
+        for dim in (1, np.int64(3), 10**400):  # numpy and unbounded integers pass
+            assert SystemParams(gamma=0.5, kappa=1.0, dim=dim).dim == dim
 
 
 class TestClassifyPhase:
