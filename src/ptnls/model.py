@@ -33,11 +33,11 @@ class PhaseLabel(enum.Enum):
 class SystemParams:
     """Gain/loss rate, linear coupling, nonlinear coefficients and dimension.
 
-    kappa must be positive and gamma nonnegative (negative signs can always
-    be absorbed into a redefinition of the fields; gamma = 0 is admitted as
-    the conservative limit, used by the conservation diagnostics).  dim is
-    stored as given; criterion routines that need dim >= 3 check it
-    themselves.
+    Every coefficient must be finite; kappa must be positive and gamma
+    nonnegative (negative signs can always be absorbed into a redefinition
+    of the fields; gamma = 0 is admitted as the conservative limit, used by
+    the conservation diagnostics).  dim is stored as given; criterion
+    routines that need dim >= 3 check it themselves.
     """
 
     gamma: float
@@ -52,6 +52,9 @@ class SystemParams:
             raise ValueError("gamma must be >= 0")
         if not self.kappa > 0:
             raise ValueError("kappa must be > 0")
+        if not all(-math.inf < x < math.inf
+                   for x in (self.gamma, self.kappa, self.g1, self.g2, self.g)):
+            raise ValueError("gamma, kappa, g1, g2 and g must be finite")
         if not _is_int(self.dim) or self.dim < 1:
             raise ValueError("dim must be an integer >= 1")
 
@@ -61,7 +64,7 @@ class GaussianIC:
     """Two-component Gaussian input: amplitudes A, B and widths a, b.
 
     The evaluated profiles are normalized so that the squared L2 norms are
-    exactly A**2 and B**2.
+    exactly A**2 and B**2.  Each field must be finite and > 0.
     """
 
     ampU: float
@@ -71,8 +74,8 @@ class GaussianIC:
 
     def __post_init__(self):
         for name in ("ampU", "ampV", "widthU", "widthV"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ r = L.  The stepper is Crank-Nicolson with the nonlinear factor handled by
 lagged fixed-point correction; each corrector pass solves the (p, q) pair
 in Cayley form with one LAPACK zgtsv call, and writes its operands into
 scratch arrays that run makes once per run.  What a pass needs that
-depends only on dt, dr and the coefficients is kept with those arrays
-and made again only when one of them changes.
+depends only on dt, the grid and the coefficients comes from _operator,
+which memoizes its last call, so it is made again only when one of them
+changes.
 
 scipy, which supplies zgtsv, is imported at the first solve, not with this
 module: importing it takes about 0.3 s and the closed-form criteria never
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 import numpy as np
@@ -136,21 +137,13 @@ def _zgtsv():
     return zgtsv
 
 
-def _links(n: int, off: complex) -> np.ndarray:
-    """zgtsv's sub- and superdiagonal, one row each, for two systems of n
-    rows stacked as one of 2n: off everywhere but where the two meet, which
-    is zero, so that elimination does not cross from one into the other."""
-    links = np.full((2, 2 * n - 1), off)
-    links[:, n - 1] = 0
-    return links
-
-
 def _tridiag_solve(diag, links, rhs, scratch):
     """Solve each row of rhs with that row of diag on the diagonal and the
-    off-diagonals links, made by _links, beside it.  Overwrites diag, rhs and
-    scratch, and returns the solution in rhs's memory; links is copied into
-    scratch, which zgtsv overwrites, and is left as it was, so one links
-    serves every solve with the same off-diagonal."""
+    off-diagonals links, one (2n - 1) row each for the two rows stacked as
+    one system, beside it.  Overwrites diag, rhs and scratch, and returns the
+    solution in rhs's memory; links is copied into scratch, which zgtsv
+    overwrites, and is only read, so one links serves every solve with the
+    same off-diagonal."""
     if not (np.isfinite(diag.view(float)).all() and np.isfinite(rhs.view(float)).all()):
         raise SolverDiverged("non-finite operands in the tridiagonal solve")
     np.copyto(scratch, links)
@@ -168,44 +161,31 @@ def _abs2(f: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.add(out, np.multiply(f.imag, f.imag, out=scratch), out=out)
 
 
-class _Operator(NamedTuple):
-    """The part of a step that depends only on dt, dr and the coefficients."""
-
-    dc: np.ndarray  # (2, 1) complex: the diagonal without w, 1 - k (gain - 2i/dr^2)
-    ik_kappa: complex
-    first: np.ndarray  # (2, 2): k (g1, g; g, g2), the nonlinear coupling of the first pass
-    later: np.ndarray  # the same halved, for the passes after it
-    links: np.ndarray  # (2, 2n - 1) complex: the off-diagonals, from _links
-
-
-def _operator(ops: dict, grid: RadialGrid, params, dt: float) -> _Operator:
-    """The step's _Operator, from ops if the last step that used ops had the
-    same dt, dr and coefficients, else made and left there in its place.
-    The key is those numbers, not the params object, so any object with the
-    five coefficient attributes will do."""
-    key = (dt, grid.dr, params.gamma, params.kappa, params.g1, params.g2, params.g)
-    op = ops.get(key)
-    if op is None:
-        k = dt / 2.0
-        kr = k / grid.dr**2
-        gain = np.array([[params.gamma], [-params.gamma]])
-        g = np.array([[params.g1, params.g], [params.g, params.g2]])
-        ops.clear()
-        op = ops[key] = _Operator(
-            dc=1.0 - k * gain + 2j * kr,
-            ik_kappa=1j * k * params.kappa,
-            first=k * g,
-            later=0.5 * k * g,
-            links=_links(grid.n, -1j * kr),
-        )
-    return op
+@lru_cache(maxsize=1)
+def _operator(n: int, dr: float, dt: float, gamma, kappa, g1, g2, g) -> tuple:
+    """What a step of size dt needs that depends only on dt, the grid and
+    the coefficients: dc = 1 - k (gain - 2i/dr^2), the (2, 1) diagonal
+    without w; i k kappa; first and later, k and k/2 times (g1, g; g, g2),
+    for the first pass and those after it; and links, zgtsv's sub- and
+    superdiagonal, -i k/dr^2 but for a zero where the two stacked rows meet,
+    so that elimination does not cross from one into the other.  The arrays
+    are read-only, because every step with the same arguments shares them."""
+    k = dt / 2.0
+    kr = k / dr**2
+    gain = np.array([[gamma], [-gamma]])
+    gmat = np.array([[g1, g], [g, g2]])
+    dc = 1.0 - k * gain + 2j * kr
+    first, later = k * gmat, 0.5 * k * gmat
+    links = np.full((2, 2 * n - 1), -1j * kr)
+    links[:, n - 1] = 0
+    for arr in (dc, first, later, links):
+        arr.flags.writeable = False
+    return dc, 1j * k * kappa, first, later, links
 
 
 class _Workspace(NamedTuple):
     """Scratch arrays for the steps of one run on n nodes; every step
-    overwrites them, so none outlives the step that wrote it.  ops holds the
-    last step's _Operator, which the next step reuses if its dt, dr and
-    coefficients are the same."""
+    overwrites them, so none outlives the step that wrote it."""
 
     b: np.ndarray  # (2, n) complex: 2 f0 - i k kappa f0[::-1]
     diag: np.ndarray  # (2, n) complex: i k w, then the diagonal
@@ -214,13 +194,12 @@ class _Workspace(NamedTuple):
     f2m: np.ndarray  # (2, n) float: the midpoint |f|^2
     w: np.ndarray  # (2, n) float: k times the frozen nonlinear factor
     links: np.ndarray  # (2, 2n - 1) complex: the operator's links, for zgtsv to overwrite
-    ops: dict  # {(dt, dr, coefficients): _Operator}, at most one entry
 
 
 def _workspace(n: int) -> _Workspace:
     c = [np.empty((2, n), complex) for _ in range(3)]
     f = [np.empty((2, n)) for _ in range(3)]
-    return _Workspace(*c, *f, np.empty((2, 2 * n - 1), complex), {})
+    return _Workspace(*c, *f, np.empty((2, 2 * n - 1), complex))
 
 
 def step(
@@ -250,15 +229,16 @@ def step(
     to f0.  A pass forms only w, the diagonal dc - i k w and the guess's
     coupling term.  dc = 1 - k (gain - 2i/dr^2), i k kappa, k times the
     coefficient matrix (g1, g; g, g2) and zgtsv's off-diagonals depend
-    only on dt, dr and the coefficients; _operator keeps them in work until
-    one of those changes, in a run when dt halves or the last step is
-    clipped to tMax.  1/r^2 is made once per grid (RadialGrid.inv_r2).
+    only on dt, the grid and the coefficients; they come from _operator,
+    which memoizes its last call, so they are made again only when one of
+    those changes: in a run, when dt halves or the last step is clipped to
+    tMax.  1/r^2 is made once per grid (RadialGrid.inv_r2).
 
     work holds scratch arrays from _workspace(grid.n), which run makes once
     and passes to every step; with None a fresh set is made.  Each step
-    writes every scratch array before it reads it, and the cached operator
-    is a function of its key, so the result does not depend on what work
-    held.  Only each pass's right-hand side is new, because the solve
+    writes every scratch array before it reads it, and _operator is a pure
+    function of its arguments, so the result does not depend on what work
+    held or on which step came before.  Only each pass's right-hand side is new, because the solve
     returns the field in it; the returned state shares no memory with work
     or with state.f.  Overflow raises no warning: the finiteness checks
     report it as SolverDiverged.
@@ -271,25 +251,26 @@ def step(
         raise ValueError("cn_iterations must be >= 1")
     grid = state.grid
     work = _workspace(grid.n) if work is None else work
-    op = _operator(work.ops, grid, params, dt)
+    dc, ik_kappa, first, later, links = _operator(
+        grid.n, grid.dr, dt, params.gamma, params.kappa, params.g1, params.g2, params.g)
     f0, b, coupling, f2_0 = state.f, work.b, work.coupling, work.f2_0
     with np.errstate(over="ignore", invalid="ignore"):
         f2m = _abs2(f0, out=f2_0, scratch=work.w)
         # the first pass's coupling term is the f0 half of b's
-        np.multiply(op.ik_kappa, f0[::-1], out=coupling)
+        np.multiply(ik_kappa, f0[::-1], out=coupling)
         np.subtract(np.add(f0, f0, out=b), coupling, out=b)
-        kg = op.first
+        kg = first
         for i in range(cn_iterations):
             # the midpoint |f|^2 is |f0|^2 on the first pass and
-            # (|f0|^2 + |fs|^2)/2 after it; op.later holds the 1/2
+            # (|f0|^2 + |fs|^2)/2 after it; later holds the 1/2
             if i:
                 f2m = np.add(f2_0, _abs2(fs, out=work.f2m, scratch=work.w), out=work.f2m)
-                kg = op.later
-                np.multiply(op.ik_kappa, fs[::-1], out=coupling)
+                kg = later
+                np.multiply(ik_kappa, fs[::-1], out=coupling)
             kw = np.matmul(kg, f2m, out=work.w)
             kw *= grid.inv_r2
-            diag = np.subtract(op.dc, np.multiply(1j, kw, out=work.diag), out=work.diag)
-            fs = _tridiag_solve(diag, op.links, np.subtract(b, coupling), work.links)
+            diag = np.subtract(dc, np.multiply(1j, kw, out=work.diag), out=work.diag)
+            fs = _tridiag_solve(diag, links, np.subtract(b, coupling), work.links)
             fs -= f0
     if not np.all(np.isfinite(fs.view(float))):
         raise SolverDiverged(f"non-finite field values at t={state.t + dt:g}")

@@ -40,6 +40,28 @@ class TestSystemParams:
         for dim in (1, np.int64(3), 10**400):  # numpy and unbounded integers pass
             assert SystemParams(gamma=0.5, kappa=1.0, dim=dim).dim == dim
 
+    def test_rejects_non_finite_coefficients(self):
+        for name in ("gamma", "kappa", "g1", "g2", "g"):
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    params(**{name: bad})
+            # finite extremes still pass
+            assert getattr(params(**{name: 1e308}), name) == 1e308
+
+
+class TestGaussianIC:
+    def test_rejects_non_finite_fields(self):
+        # an infinite width used to be sampled as a zero field
+        for i in range(4):
+            for bad in (math.inf, math.nan):
+                fields = [1.0] * 4
+                fields[i] = bad
+                with pytest.raises(ValueError, match="must be finite and > 0"):
+                    GaussianIC(*fields)
+            fields = [1.0] * 4
+            fields[i] = 1e308
+            GaussianIC(*fields)  # finite extremes still pass
+
 
 class TestClassifyPhase:
     def test_unbroken(self):

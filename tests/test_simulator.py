@@ -23,7 +23,7 @@ from ptnls import (
     run,
     step,
 )
-from ptnls.simulator import _accepted, _links, _tridiag_solve, _verdict, _workspace
+from ptnls.simulator import _accepted, _operator, _tridiag_solve, _verdict, _workspace
 
 
 def params(gamma=0.5, kappa=1.0, g1=1.0, g2=1.0, g=1.0):
@@ -253,7 +253,9 @@ class TestTridiagSolve:
             solve_banded((1, 1), np.array([np.r_[0, band], d, np.r_[band, 0]]), b)
             for d, b in zip(diag, rhs)
         ]
-        links = _links(n, off)
+        # both rows stacked as one system, with no link where they meet
+        links = np.full((2, 2 * n - 1), off)
+        links[:, n - 1] = 0
         kept = links.copy()
         got = _tridiag_solve(diag.copy(), links, rhs.copy(), np.empty((2, 2 * n - 1), complex))
         assert got.shape == (2, n)
@@ -265,7 +267,7 @@ class TestTridiagSolve:
 
     def test_singular_matrix_is_divergence(self):
         with pytest.raises(SolverDiverged):
-            _tridiag_solve(np.zeros((2, 17), complex), _links(17, 0j),
+            _tridiag_solve(np.zeros((2, 17), complex), np.zeros((2, 33), complex),
                            np.ones((2, 17), complex), np.empty((2, 33), complex))
 
 
@@ -327,13 +329,23 @@ class TestWorkspace:
         p, st = self.states()
         work = _workspace(self.GRID.n)
         new = step(st, p, 1e-3, work=work)
-        (op,) = work.ops.values()
-        for arr in (*work[:-1], op.dc, op.links, st.f):
+        dc, _, first, later, links = _operator(
+            self.GRID.n, self.GRID.dr, 1e-3, p.gamma, p.kappa, p.g1, p.g2, p.g)
+        for arr in (*work, dc, first, later, links, st.f):
             assert not np.shares_memory(new.f, arr)
         # the next step overwrites the workspace and leaves new as it was
         kept = new.f.copy()
         step(new, p, 1e-3, work=work)
         assert np.array_equal(new.f, kept)
+
+    def test_operator_arrays_are_read_only(self):
+        # every step with the same dt, grid and coefficients shares them
+        p, _ = self.states()
+        dc, _, first, later, links = _operator(
+            self.GRID.n, self.GRID.dr, 1e-3, p.gamma, p.kappa, p.g1, p.g2, p.g)
+        for arr in (dc, first, later, links):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
 
     def test_two_runs_give_the_same_bytes(self):
         p, _ = self.states()
@@ -344,6 +356,68 @@ class TestWorkspace:
         assert a.trace.keys() == b.trace.keys()
         for name in a.trace:
             assert np.array_equal(a.trace[name], b.trace[name]), name
+
+
+def exact_modes(prm, amps, a, t):
+    """c(t) = expm(-i H t) c0, H = (i gamma, kappa; kappa, -i gamma): the
+    amplitudes of the linear system's exact solution below."""
+    H = np.array([[1j * prm.gamma, prm.kappa], [prm.kappa, -1j * prm.gamma]])
+    return expm(-1j * H * t) @ (np.array(amps) * math.pi**-0.75 * a**-1.5)
+
+
+def exact_linear_field(grid, t, prm, amps, a):
+    """(p, q) at time t on grid's nodes for the linear system (g1 = g2 = g = 0)
+    from GaussianIC(*amps, a, a): r w(r, t) c(t), where w is the free 3D
+    Gaussian, i w_t = -lap w.  Exact while the wave is clear of r = L: at
+    L = 16 and a = 1, |w(L)| is 1e-28 at t = 0.5."""
+    r = grid.nodes
+    w = (1 + 2j * t / a**2) ** -1.5 * np.exp(-(r**2) / (2 * (a**2 + 2j * t)))
+    return r * w * exact_modes(prm, amps, a, t)[:, None]
+
+
+class TestExactLinearSolution:
+    """run against the exact solution of the linear PDE, so the spatial and
+    the time error are measured against the truth, not against a refinement."""
+
+    PRM = params(gamma=0.5, kappa=1.0, g1=0.0, g2=0.0, g=0.0)
+    AMPS, A, T = (1.0, 0.5), 1.0, 0.5
+
+    def error(self, n, dt):
+        """The relative max error of (p, q) at T; dtMin = dt0, so dt never halves."""
+        grid = RadialGrid(16.0, n)
+        cfg = RunConfig(dt0=dt, dtMin=dt, tMax=self.T, sampleEvery=10**6)
+        out = run(GaussianIC(*self.AMPS, self.A, self.A), self.PRM, grid, cfg)
+        assert out.tStop == self.T
+        want = exact_linear_field(grid, self.T, self.PRM, self.AMPS, self.A)
+        return np.max(np.abs(out.finalState.f - want)) / np.max(np.abs(want))
+
+    def test_second_order_in_dr(self):
+        # 1.046e-3, 2.628e-4, 6.698e-5: ratios 3.98 and 3.92
+        errs = [self.error(n, 1e-3) for n in (249, 499, 999)]
+        assert errs[0] < 2e-3
+        assert errs[0] / errs[1] > 3 and errs[1] / errs[2] > 3
+
+    def test_second_order_in_dt(self):
+        # 1.746e-4, 4.662e-5, 1.467e-5: ratios 3.74 and 3.18, the last pulled
+        # down by the spatial error of about 4e-6
+        errs = [self.error(3999, dt) for dt in (1e-2, 5e-3, 2.5e-3)]
+        assert errs[0] < 4e-4
+        assert errs[0] / errs[1] > 3 and errs[1] / errs[2] > 3
+
+    def test_grid_functionals_along_the_exact_trace(self):
+        # S0 follows the two-mode amplitudes c(t), and X the free Gaussian's
+        # width: X = S0 (3/2)(a^2 + 4 t^2/a^2)
+        grid, a = RadialGrid(16.0, 255), self.A
+        s0_0 = grid_functionals(load_initial(GaussianIC(*self.AMPS, a, a), grid, self.PRM),
+                                self.PRM)["S0"]
+        c0 = exact_modes(self.PRM, self.AMPS, a, 0.0)
+        for t in np.linspace(0.0, self.T, 6):
+            f = exact_linear_field(grid, t, self.PRM, self.AMPS, a)
+            d = grid_functionals(RadialState(grid, f, t), self.PRM)
+            c = exact_modes(self.PRM, self.AMPS, a, t)
+            s0 = s0_0 * np.sum(np.abs(c) ** 2) / np.sum(np.abs(c0) ** 2)
+            assert d["S0"] == pytest.approx(s0, rel=1e-12)
+            assert d["X"] == pytest.approx(s0 * 1.5 * (a**2 + 4 * t**2 / a**2), rel=1e-12)
 
 
 class TestConservation:
