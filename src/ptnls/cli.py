@@ -256,6 +256,12 @@ def _write_report(path: Path, fields: dict):
                     encoding="utf-8")
 
 
+def _crossing(rep: crit.CriterionReport) -> dict:
+    """A check's falling piece and final bracket, one key per end."""
+    (start, end), (lo, hi) = rep.piece or (None, None), rep.bracket or (None, None)
+    return {"piece.start": start, "piece.end": end, "bracket.lo": lo, "bracket.hi": hi}
+
+
 def _run_criteria_job(spec: JobSpec, out: Path):
     """Write report.txt and criteria.csv; return the Theorem1/2 report or None."""
     params, ic = spec.params, spec.ic
@@ -275,13 +281,15 @@ def _run_criteria_job(spec: JobSpec, out: Path):
         lem2 = crit.lemma2_threshold(initial, params)
         report.update({
             "theorem1.satisfied": rep.satisfied, "theorem1.T0": rep.certifiedTime,
+            **{f"theorem1.{k}": v for k, v in _crossing(rep).items()},
             "lemma1.satisfied": lem1["satisfied"], "lemma1.E0bound": lem1["E0bound"],
             "lemma2.satisfied": lem2["satisfied"], "lemma2.Y0bound": lem2["Y0bound"],
         })
     if crit.in_early_collapse_regime(params):
         rep = crit.check_theorem2(initial, params, horizon, spec.samples)
         report.update({"theorem2.satisfied": rep.satisfied,
-                       "theorem2.Tstar": rep.certifiedTime})
+                       "theorem2.Tstar": rep.certifiedTime,
+                       **{f"theorem2.{k}": v for k, v in _crossing(rep).items()}})
     if rep is not None:
         tr = rep.functionTrace
         write_csv(out / "criteria.csv", list(tr), list(tr.values()))
@@ -291,7 +299,8 @@ def _run_criteria_job(spec: JobSpec, out: Path):
                   **(inv["oscillation"] or {})}
         if params.g > 0 and params.dim >= 3:
             repm = crit.check_manakov_theorem(initial, params, horizon, spec.samples)
-            fields.update(satisfied=repm.satisfied, T0=repm.certifiedTime)
+            fields.update(satisfied=repm.satisfied, T0=repm.certifiedTime,
+                          **_crossing(repm))
         report.update({f"manakov.{k}": v for k, v in fields.items()})
     except NotManakov:
         pass

@@ -11,21 +11,23 @@ is finite and >= 0, and returns a float for a scalar t.  The closed form
 (_width for F and F-hat, _Z for Z) takes coefficients computed beforehand
 and a float or array t, and checks nothing.  A check computes its
 constants and coefficients once, then evaluates the closed form on its
-trace and at every bisection step; the two give the same bits as the door.
+trace and at every step of its root-finder.  The trace arrays equal the
+door bit for bit; at a float t the closed forms use math.exp and
+math.expm1, which may differ from numpy's in the last bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import NotManakov, RegimeViolation
 from .functionals import InitialFunctionals
-from .model import SystemParams
+from .model import SystemParams, _is_int
 
 _TIME_TOL = 1e-9
 _DEFAULT_SAMPLES = 4096
@@ -48,6 +50,8 @@ class CriterionReport:
     functionTrace: dict = field(repr=False)
     inputs: InitialFunctionals = field(repr=False)
     constants: Optional[CriterionConstants] = None
+    piece: Optional[tuple] = None  # (r1, r2): where the bound falls
+    bracket: Optional[tuple] = None  # (lo, hi] around certifiedTime = hi
 
 
 def in_focusing_regime(params: SystemParams) -> bool:
@@ -64,13 +68,15 @@ def in_early_collapse_regime(params: SystemParams) -> bool:
     return params.g1 > 0 and params.g2 <= 0 and params.g <= 0
 
 
+@lru_cache(maxsize=1)
 def constants(params: SystemParams) -> CriterionConstants:
     """The constants c1..c4 entering the blowup conditions.
 
     c2 (and hence beta) is defined only in the focusing regime; it is left
     as None otherwise so that c1, c3, c4 remain available.  RegimeViolation
     unless dim >= 3 and gamma > 0; OverflowError if finite inputs give a
-    constant that is not finite.
+    constant that is not finite.  Memoized: the checks and lemmas of one
+    input all ask for the same params.
     """
     if params.dim < 3:
         raise RegimeViolation(f"criteria need dim >= 3, got {params.dim}")
@@ -120,17 +126,31 @@ def default_horizon(params: SystemParams) -> float:
 
 def _setup(initial: InitialFunctionals, params: SystemParams, horizon, samples):
     """The horizon (4/gamma if None) and the samples + 1 trace times of a
-    check; ValueError unless 0 < horizon < inf, samples >= 0 and X0, S0 >= 0."""
+    check; ValueError unless 0 < horizon < inf, samples is an integer >= 0
+    and X0, S0 >= 0."""
     horizon = default_horizon(params) if horizon is None else horizon
+    if isinstance(horizon, bool):
+        raise ValueError("horizon must be a number, not a bool")
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
     if horizon == math.inf:
         raise ValueError("horizon must be finite")
+    if not _is_int(samples):
+        raise ValueError("samples must be an integer")
     if samples < 0:
         raise ValueError("samples must be >= 0")
     if not (initial.msw >= 0 and initial.s0 >= 0):
         raise ValueError(f"X0 and S0 must be >= 0, got {initial.msw}, {initial.s0}")
-    return float(horizon), np.linspace(0.0, horizon, samples + 1)
+    horizon = float(horizon)
+    step = horizon / samples if samples else 0.0
+    if not step > 0:  # a single time, or a step that underflows to 0
+        return horizon, np.linspace(0.0, horizon, samples + 1)
+    # np.linspace's own arithmetic, without its argument handling, which
+    # costs more than the rest of a check's setup; a test pins the two equal
+    t = np.arange(samples + 1, dtype=float)
+    t *= step
+    t[-1] = horizon
+    return horizon, t
 
 
 def _times(t) -> np.ndarray:
@@ -157,12 +177,23 @@ class _Width(NamedTuple):
     rate: float
 
 
+def _exp(x):
+    """e^x: math.exp at a Python float, inf where that overflows, and np.exp
+    at anything else, such as the numpy scalar that a 0-d array gives."""
+    if type(x) is not float:
+        return np.exp(x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _width(k: _Width, t):
     """The width bound with coefficients k at a float or array t, unchecked."""
     X0, Y0, a, b, rate = k
     val = X0 + Y0 * t + a * (t * t)  # numpy's t**2 is t * t; a float's is pow
     if b:  # b = 0 at S0 = 0, where the gain term is 0 * inf once exp overflows
-        val = val + b * (np.exp(rate * t) - rate * t - 1)
+        val = val + b * (_exp(rate * t) - rate * t - 1)
     return val
 
 
@@ -204,6 +235,9 @@ def _F_and_M(F, t, piece):
     """F(t) and M(t) = sup of F over [0, t], plus 1, when F falls on piece
     (or None) and rises elsewhere: F peaks where piece starts."""
     Ft = F(t)
+    if type(t) is float:
+        peak = F(piece[0]) if piece is not None and t >= piece[0] else Ft
+        return Ft, max(F(0.0), Ft, peak) + 1.0
     sup = np.maximum(F(0.0), Ft)
     if piece is not None:
         sup = np.where(np.asarray(t) >= piece[0], np.maximum(sup, F(piece[0])), sup)
@@ -222,6 +256,8 @@ def _G(m, c1, rate, t):
     """m (c1 t^2 / 2 + exp(rate t) - 1).  For long horizons exp and the
     product overflow to inf, without a warning: G = inf is right there, as
     G < 1 is false just as it is for any G >= 1."""
+    if type(t) is float:  # np.errstate would cost more than the rest here
+        return m * (c1 * t**2 / 2 + _exp(rate * t) - 1.0)
     with np.errstate(over="ignore"):
         return m * (c1 * t**2 / 2 + np.exp(rate * t) - 1.0)
 
@@ -233,18 +269,44 @@ def G_function(initial: InitialFunctionals, params: SystemParams, t):
     return _scalar(_G(M_function(initial, params, t), cc.c1, cc.beta, t))
 
 
-def _bisect(pred, lo, hi, tol=_TIME_TOL):
-    """Smallest t in (lo, hi] with pred(t) true, for a pred that stays true
-    once it is; None if pred(hi) is false.  Stops early where the float
-    spacing at hi exceeds tol: no midpoint is left."""
-    if not pred(hi):
+def _first(fn, lo, hi, strict, tol=_TIME_TOL):
+    """The first t in (lo, hi] where fn(t) < 0 (strict) or fn(t) <= 0 holds,
+    for an fn whose predicate stays true once it is: a bracket (a, b) with
+    the predicate false at a (or a = lo) and true at b, at most tol wide or
+    with no float left between a and b; None if it is false at hi.
+
+    Illinois steps: regula falsi that halves the value kept at one end each
+    time a step moves the other end again (Dowell & Jarratt, BIT 11, 1971).
+    A step that does not halve the bracket is followed by a bisection step,
+    which leaves that halving in place, so the search never takes much more
+    than twice bisection's evaluations.  Each Illinois step aims tol/4 past
+    the secant root, to the side where the predicate holds, and keeps tol/2
+    from both ends: b does not land within rounding of the root, and once
+    the root is found the next step closes the bracket."""
+    holds = (lambda v: v < 0) if strict else (lambda v: v <= 0)
+    a, b, fb = lo, hi, fn(hi)
+    if not holds(fb):
         return None
-    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if pred(mid):
-            hi = mid
+    fa, last, k, bisect = fn(lo), None, 1.0, False  # last: the end moved last
+    while b - a > tol and a < (mid := 0.5 * (a + b)) < b:
+        width, x, secant = b - a, mid, False
+        if not bisect:
+            ga, gb = (fa * k, fb) if last == "b" else (fa, fb * k)
+            if ga != gb and math.isfinite(ga) and math.isfinite(gb):
+                # float(): fn may give numpy scalars, and the ends stay floats
+                s = float(b - gb * width / (gb - ga)) + 0.25 * tol
+                s = min(max(s, a + 0.5 * tol), b - 0.5 * tol)
+                if a < s < b:
+                    x, secant = s, True
+        fx = fn(x)
+        if holds(fx):
+            b, fb, moved = x, fx, "b"
         else:
-            lo = mid
-    return hi
+            a, fa, moved = x, fx, "a"
+        if secant:
+            k, last = (0.5 * k if moved == last else 1.0), moved
+        bisect = not bisect and b - a > 0.5 * width
+    return a, b
 
 
 def _falling_piece(slope, low, horizon):
@@ -254,9 +316,9 @@ def _falling_piece(slope, low, horizon):
     low = min(max(low, 0.0), horizon)
     if not slope(low) < 0:
         return None
-    r1 = 0.0 if slope(0.0) <= 0 else _bisect(lambda t: slope(t) < 0, 0.0, low)
-    r2 = _bisect(lambda t: slope(t) >= 0, low, horizon)
-    return r1, horizon if r2 is None else r2
+    r1 = 0.0 if slope(0.0) <= 0 else _first(slope, 0.0, low, True)[1]
+    r2 = _first(lambda t: -slope(t), low, horizon, False)
+    return r1, horizon if r2 is None else r2[1]
 
 
 def _conjunction(kind, initial, cc, t, F, piece, rate):
@@ -265,12 +327,19 @@ def _conjunction(kind, initial, cc, t, F, piece, rate):
     exp(rate t) - 1) and piece the part of [0, horizon] where F falls.
 
     As F(0) = X0 >= 0 and G never falls (M >= 1 + X0 > 0 never does), that
-    is the first tF on F's falling piece with F + 1 < 0, if G(tF) < 1."""
+    is the first tF on F's falling piece with F + 1 < 0, if G(tF) < 1.  From
+    t_cut = 2 log1p(1 / (1 + X0)) / rate on, G >= (1 + X0) (exp(rate t) - 1)
+    exceeds 2, so the search for tF ends at t_cut at the latest."""
     Ft, M = _F_and_M(F, t, piece)
     trace = {"t": t, "F": Ft, "M": M, "G": _G(M, cc.c1, rate, t)}
-    t0 = _bisect(lambda tt: F(tt) + 1 < 0, *piece) if piece else None
-    ok = t0 is not None and bool(_G(_F_and_M(F, t0, piece)[1], cc.c1, rate, t0) < 1)
-    return CriterionReport(kind, ok, t0 if ok else None, trace, initial, cc)
+    found = None
+    if piece:
+        t_cut = 2 * math.log1p(1 / (1 + initial.msw)) / rate
+        found = _first(lambda tt: F(tt) + 1, piece[0], min(piece[1], t_cut), True)
+    ok = found is not None and _G(_F_and_M(F, found[1], piece)[1], cc.c1, rate,
+                                  found[1]) < 1
+    return CriterionReport(kind, ok, found[1] if ok else None, trace, initial, cc,
+                           piece, found if ok else None)
 
 
 def check_theorem1(
@@ -378,12 +447,14 @@ def _z_terms(initial: InitialFunctionals, params: SystemParams):
 def _Z(k: _ZTerms, t):
     """Z with coefficients k at a float or array t, unchecked."""
     X0, h0, N, c4, lam, _, _, A1, A2 = k
+    exp, expm1 = (math.exp, math.expm1) if type(t) is float else (np.exp, np.expm1)
     # e^{-2 c4 s} * inner(s) = 4N [ A1 (e^{mu s} - e^{-2 c4 s}) + A2 s e^{mu s} ],
-    # mu = 2 gamma - c4 < 0
+    # mu = 2 gamma - c4 < 0, so no exponent here is positive
     mu = lam - 2 * c4
-    int_emu = np.expm1(mu * t) / mu
-    int_edecay = -np.expm1(-2 * c4 * t) / (2 * c4)
-    int_semu = t * np.exp(mu * t) / mu - np.expm1(mu * t) / mu**2
+    emu = expm1(mu * t)
+    int_emu = emu / mu
+    int_edecay = -expm1(-2 * c4 * t) / (2 * c4)
+    int_semu = t * exp(mu * t) / mu - emu / mu**2
     return X0 + h0 * int_edecay + 4 * N * (A1 * (int_emu - int_edecay) + A2 * int_semu)
 
 
@@ -419,9 +490,9 @@ def check_theorem2(
 
     low = -alpha / beta if beta > 0 else math.inf if alpha < 0 else 0.0
     piece = _falling_piece(slope, low, horizon)
-    t0 = _bisect(lambda tt: _Z(k, tt) <= 0, *piece) if piece else None
-    return CriterionReport("Theorem2", t0 is not None, t0, {"t": t, "Z": _Z(k, t)},
-                           initial, cc)
+    found = _first(partial(_Z, k), *piece, False) if piece else None
+    return CriterionReport("Theorem2", found is not None, found[1] if found else None,
+                           {"t": t, "Z": _Z(k, t)}, initial, cc, piece, found)
 
 
 def _require_manakov(params: SystemParams):

@@ -211,17 +211,41 @@ def _assert_plain_values(report: str):
             float(value)  # raises on a numpy repr such as np.float64(0.5)
 
 
+def _assert_crossing(report: str, check: str, time_key: str, certified: bool):
+    """The four lines after a check's certified time: its falling piece and
+    the root-finder's final bracket, whose right end is the certified time."""
+    lines = report.splitlines()
+    at = lines.index(next(ln for ln in lines if ln.startswith(f"{check}.{time_key} = ")))
+    fields = dict(ln.split(" = ") for ln in lines[at:at + 5])
+    keys = [f"{check}.{k}" for k in (time_key, "piece.start", "piece.end",
+                                     "bracket.lo", "bracket.hi")]
+    assert list(fields) == keys
+    T, start, end, lo, hi = fields.values()
+    if not certified:
+        assert T == lo == hi == "None"
+        return
+    assert T == hi
+    start, end, lo, hi = map(float, (start, end, lo, hi))
+    assert 0 <= start <= lo < hi <= end and hi - lo <= 1e-9
+
+
 class TestModes:
     def test_criteria_focusing(self, tmp_path):
-        spec = parse_config(MINIMAL + "params.g = -0.5\n", "criteria", tmp_path)
-        assert run_job(spec) == EXIT_OK
-        header, data = read_csv(tmp_path / "criteria.csv")
-        assert header == ["t", "F", "M", "G"]
-        assert data["t"][0] == 0.0
-        report = (tmp_path / "report.txt").read_text()
-        assert "theorem1.satisfied" in report
-        assert "lemma1.satisfied" in report
-        _assert_plain_values(report)
+        # F falls nowhere at B = 2; at B = 6 it falls and T0 is certified
+        for B, certified in (("2", False), ("6", True)):
+            out = tmp_path / B
+            text = MINIMAL.replace("ic.B = 2", f"ic.B = {B}") + "params.g = -0.5\n"
+            assert run_job(parse_config(text, "criteria", out)) == EXIT_OK
+            header, data = read_csv(out / "criteria.csv")
+            assert header == ["t", "F", "M", "G"]
+            assert data["t"][0] == 0.0
+            report = (out / "report.txt").read_text()
+            assert "theorem1.satisfied" in report
+            assert "lemma1.satisfied" in report
+            _assert_plain_values(report)
+            _assert_crossing(report, "theorem1", "T0", certified)
+            if not certified:
+                assert "theorem1.piece.start = None\ntheorem1.piece.end = None" in report
 
     def test_criteria_verdict_does_not_depend_on_samples(self, tmp_path):
         # certified at T0 = 0.0047641; a scan of 0 or 1 samples missed it
@@ -251,6 +275,7 @@ class TestModes:
         report = (tmp_path / "report.txt").read_text()
         assert "theorem2.satisfied = True" in report
         _assert_plain_values(report)
+        _assert_crossing(report, "theorem2", "Tstar", True)
 
     def test_criteria_manakov_report(self, tmp_path):
         spec = parse_config(MINIMAL, "criteria", tmp_path)  # g1=g2=g=1
@@ -259,6 +284,7 @@ class TestModes:
         assert "manakov.Sconst" in report
         assert "manakov.satisfied" in report
         _assert_plain_values(report)
+        _assert_crossing(report, "manakov", "T0", False)
 
     def test_simulate(self, tmp_path):
         spec = parse_config(FAST_SIM, "simulate", tmp_path)

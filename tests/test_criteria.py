@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -511,6 +511,11 @@ def test_non_positive_horizon_rejected(check, p, horizon):
     # and the other setup checks the three share
     with pytest.raises(ValueError, match="samples must be >= 0"):
         check(make_initial(), p, samples=-1)
+    for bad in (True, 2.5, 3.0, None):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            check(make_initial(), p, samples=bad)
+    with pytest.raises(ValueError, match="horizon must be a number, not a bool"):
+        check(make_initial(), p, True)
     for bad in (make_initial(msw=-0.5), make_initial(s0=-1.0)):
         with pytest.raises(ValueError, match="X0 and S0 must be >= 0"):
             check(bad, p)
@@ -686,3 +691,85 @@ def test_trace_is_the_public_bounds(kind, data):
         assert np.array_equal(tr[name], bound(ini, p, tr["t"])), name
     if rep.satisfied:
         assert _predicate(kind, ini, p, rep.certifiedTime)
+
+
+def _bisect_reference(fn, lo, hi, strict, tol=ptnls.criteria._TIME_TOL):
+    """Plain bisection for the first t in (lo, hi] where fn(t) < 0 (strict)
+    or fn(t) <= 0 holds: the right end of a bracket at most tol wide, or
+    with no float left inside it; None if the predicate is false at hi."""
+    holds = (lambda v: v < 0) if strict else (lambda v: v <= 0)
+    if not holds(fn(hi)):
+        return None
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if holds(fn(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@st.composite
+def _crossings(draw):
+    """(fn, lo, hi, strict): a function whose predicate switches once, at r,
+    from false to true, with r mostly inside (lo, hi] and sometimes past hi."""
+    family = draw(st.sampled_from(["linear", "convex", "concave", "tangential",
+                                   "plateau", "tiny before", "tiny after",
+                                   "float spacing"]))
+    if family == "float spacing":
+        # the scale of Theorem 2 at gamma = kappa = 1e-12 with horizon 1e9,
+        # whose zero near 4.08e7 lies where doubles are ~7e-9 apart; that Z
+        # is noisy over ~2e-5 around its zero, so a line stands in for it
+        r, c = draw(st.floats(3e7, 6e7)), draw(st.floats(1e-9, 1.0))
+        return (lambda t: c * (r - t)), draw(st.floats(0.0, 3e7)), \
+            draw(st.floats(6e7, 1e9)), draw(st.booleans())
+    lo = draw(st.floats(0.0, 10.0))
+    width = draw(st.floats(1e-8, 100.0))
+    r = lo + width * draw(st.floats(0.0, 1.2))
+    c = draw(st.floats(1e-3, 1e3))
+    k = draw(st.floats(0.1, 300.0)) / width  # exponents stay below 360
+    strict = family != "plateau" and draw(st.booleans())
+    fn = {
+        "linear": lambda t: c * (r - t),
+        "convex": lambda t: c * math.expm1(k * (r - t)),  # like F' falling
+        "concave": lambda t: -c * math.expm1(k * (t - r)),  # like -F' rising
+        "tangential": lambda t: c * (r - t) ** 3,  # slope 0 at the root
+        "plateau": lambda t: c * max(r - t, 0.0),  # 0 from r on
+        # a secant step from the tiny side barely moves
+        "tiny before": lambda t: 1e-300 if t < r else -c,
+        "tiny after": lambda t: c if t < r else -1e-300,
+    }[family]
+    return fn, lo, lo + width, strict
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(case=_crossings())
+def test_first_agrees_with_bisection(case):
+    """_first returns a bracket with the predicate false at its left end and
+    true at its right end, at most _TIME_TOL wide or with no float inside;
+    its right end is bisection's answer to within _TIME_TOL, and it takes at
+    most 2 ceil(log2(width / _TIME_TOL)) + 4 evaluations."""
+    fn, lo, hi, strict = case
+    tol = ptnls.criteria._TIME_TOL
+    holds = (lambda v: v < 0) if strict else (lambda v: v <= 0)
+    assume(not holds(fn(lo)))
+    calls = []
+    got = ptnls.criteria._first(lambda t: calls.append(t) or fn(t), lo, hi, strict)
+    ref = _bisect_reference(fn, lo, hi, strict)
+    assert len(calls) <= 2 * max(math.ceil(math.log2((hi - lo) / tol)), 0) + 4
+    if ref is None:
+        assert got is None
+        return
+    a, b = got
+    assert lo <= a < b <= hi
+    assert holds(fn(b)) and not holds(fn(a))
+    assert b - a <= tol or not a < 0.5 * (a + b) < b
+    assert abs(b - ref) <= tol
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(horizon=st.floats(0.0, 1e308, exclude_min=True), samples=st.integers(0, 5000))
+def test_trace_times_are_linspace(horizon, samples):
+    """A check's trace times are np.linspace(0, horizon, samples + 1) bit for
+    bit, tiny horizons whose step underflows to 0 included."""
+    _, t = ptnls.criteria._setup(make_initial(), params(), horizon, samples)
+    assert np.array_equal(t, np.linspace(0.0, horizon, samples + 1))
