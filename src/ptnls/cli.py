@@ -24,7 +24,6 @@ import numpy as np
 from . import criteria as crit
 from .errors import (
     ConfigInvalid,
-    NotManakov,
     ParseError,
     PtnlsError,
     RegimeViolation,
@@ -256,10 +255,13 @@ def _write_report(path: Path, fields: dict):
                     encoding="utf-8")
 
 
-def _crossing(rep: crit.CriterionReport) -> dict:
-    """A check's falling piece and final bracket, one key per end."""
+def _check_fields(name: str, rep: crit.CriterionReport, time_key: str) -> dict:
+    """A check's report fields under name: its verdict, its certified time
+    under time_key, and its falling piece and final bracket, one key per end."""
     (start, end), (lo, hi) = rep.piece or (None, None), rep.bracket or (None, None)
-    return {"piece.start": start, "piece.end": end, "bracket.lo": lo, "bracket.hi": hi}
+    fields = {"satisfied": rep.satisfied, time_key: rep.certifiedTime, "piece.start": start,
+              "piece.end": end, "bracket.lo": lo, "bracket.hi": hi}
+    return {f"{name}.{k}": v for k, v in fields.items()}
 
 
 def _run_criteria_job(spec: JobSpec, out: Path):
@@ -280,30 +282,24 @@ def _run_criteria_job(spec: JobSpec, out: Path):
         lem1 = crit.lemma1_threshold(initial, params)
         lem2 = crit.lemma2_threshold(initial, params)
         report.update({
-            "theorem1.satisfied": rep.satisfied, "theorem1.T0": rep.certifiedTime,
-            **{f"theorem1.{k}": v for k, v in _crossing(rep).items()},
+            **_check_fields("theorem1", rep, "T0"),
             "lemma1.satisfied": lem1["satisfied"], "lemma1.E0bound": lem1["E0bound"],
             "lemma2.satisfied": lem2["satisfied"], "lemma2.Y0bound": lem2["Y0bound"],
         })
     if crit.in_early_collapse_regime(params):
         rep = crit.check_theorem2(initial, params, horizon, spec.samples)
-        report.update({"theorem2.satisfied": rep.satisfied,
-                       "theorem2.Tstar": rep.certifiedTime,
-                       **{f"theorem2.{k}": v for k, v in _crossing(rep).items()}})
+        report.update(_check_fields("theorem2", rep, "Tstar"))
     if rep is not None:
         tr = rep.functionTrace
         write_csv(out / "criteria.csv", list(tr), list(tr.values()))
-    try:
+    if params.g1 == params.g2 == params.g:
         inv = crit.manakov_invariants(initial, params)
         fields = {"S1const": inv["S1const"], "Sconst": inv["Sconst"],
                   **(inv["oscillation"] or {})}
-        if params.g > 0 and params.dim >= 3:
-            repm = crit.check_manakov_theorem(initial, params, horizon, spec.samples)
-            fields.update(satisfied=repm.satisfied, T0=repm.certifiedTime,
-                          **_crossing(repm))
         report.update({f"manakov.{k}": v for k, v in fields.items()})
-    except NotManakov:
-        pass
+        if params.g > 0:
+            repm = crit.check_manakov_theorem(initial, params, horizon, spec.samples)
+            report.update(_check_fields("manakov", repm, "T0"))
     _write_report(out / "report.txt", report)
     return rep
 

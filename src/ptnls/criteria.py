@@ -13,7 +13,8 @@ and a float or array t, and checks nothing.  A check computes its
 constants and coefficients once, then evaluates the closed form on its
 trace and at every step of its root-finder.  The trace arrays equal the
 door bit for bit; at a float t the closed forms use math.exp and
-math.expm1, which may differ from numpy's in the last bit.
+math.expm1, which may differ from numpy's in the last bit.  The checks
+trust the InitialFunctionals record: it is finite, with X0, S0 >= 0.
 """
 
 from __future__ import annotations
@@ -124,10 +125,10 @@ def default_horizon(params: SystemParams) -> float:
     return 4.0 / params.gamma
 
 
-def _setup(initial: InitialFunctionals, params: SystemParams, horizon, samples):
+def _setup(params: SystemParams, horizon, samples):
     """The horizon (4/gamma if None) and the samples + 1 trace times of a
-    check; ValueError unless 0 < horizon < inf, samples is an integer >= 0
-    and X0, S0 >= 0."""
+    check; ValueError unless 0 < horizon < inf and samples is an integer
+    >= 0."""
     horizon = default_horizon(params) if horizon is None else horizon
     if isinstance(horizon, bool):
         raise ValueError("horizon must be a number, not a bool")
@@ -139,8 +140,6 @@ def _setup(initial: InitialFunctionals, params: SystemParams, horizon, samples):
         raise ValueError("samples must be an integer")
     if samples < 0:
         raise ValueError("samples must be >= 0")
-    if not (initial.msw >= 0 and initial.s0 >= 0):
-        raise ValueError(f"X0 and S0 must be >= 0, got {initial.msw}, {initial.s0}")
     horizon = float(horizon)
     step = horizon / samples if samples else 0.0
     if not step > 0:  # a single time, or a step that underflows to 0
@@ -177,13 +176,13 @@ class _Width(NamedTuple):
     rate: float
 
 
-def _exp(x):
-    """e^x: math.exp at a Python float, inf where that overflows, and np.exp
-    at anything else, such as the numpy scalar that a 0-d array gives."""
+def _expm1(x):
+    """e^x - 1: math.expm1 at a Python float, inf where that overflows, and
+    np.expm1 at anything else, such as a 0-d array's numpy scalar."""
     if type(x) is not float:
-        return np.exp(x)
+        return np.expm1(x)
     try:
-        return math.exp(x)
+        return math.expm1(x)
     except OverflowError:
         return math.inf
 
@@ -193,7 +192,8 @@ def _width(k: _Width, t):
     X0, Y0, a, b, rate = k
     val = X0 + Y0 * t + a * (t * t)  # numpy's t**2 is t * t; a float's is pow
     if b:  # b = 0 at S0 = 0, where the gain term is 0 * inf once exp overflows
-        val = val + b * (_exp(rate * t) - rate * t - 1)
+        # expm1 keeps the term accurate at small t, where e^x - 1 cancels
+        val = val + b * (_expm1(rate * t) - rate * t)
     return val
 
 
@@ -213,34 +213,27 @@ def F_function(initial: InitialFunctionals, params: SystemParams, t):
     return _scalar(_width(k, _times(t)))
 
 
-def _F_falls(initial: InitialFunctionals, params: SystemParams, k: _Width, horizon):
-    """The piece of [0, horizon] on which F, with coefficients k, falls, or
-    None.  F' is convex for S0 >= 0, as F'' = (16N/(N+2)) E0 + 16 kappa S0
-    e^{2 gamma t} never falls: F' falls until F'' = 0 and rises after."""
-    gamma, kappa, S0 = params.gamma, params.kappa, initial.s0
-    Y0, a = k.Y0, k.a
-    if S0 < 0:
-        raise ValueError("the running supremum of F needs S0 >= 0")
+def _width_falls(k: _Width, horizon):
+    """The piece of [0, horizon] on which the width bound with coefficients
+    k falls, or None.  Its F'' = 2a + b r^2 e^{rt} never falls, as b >= 0,
+    so F' is convex: F' falls until F'' = 0 and rises after."""
+    _, Y0, a, b, r = k
 
-    def slope(t):  # F'(t) e^{-2 gamma t}: the sign of F', without overflow
-        return ((Y0 + 2 * a * t) * math.exp(-2 * gamma * t)
-                - (8 * kappa * S0 / gamma) * math.expm1(-2 * gamma * t))
+    def slope(t):  # F'(t) e^{-rt}: the sign of F', without overflow; Y0 + 2at at r = 0
+        return (Y0 + 2 * a * t) * math.exp(-r * t) - b * r * math.expm1(-r * t)
 
-    low = (0.0 if a >= 0 else math.inf if S0 == 0
-           else math.log(-a / (8 * kappa * S0)) / (2 * gamma))
+    curve = b * r * r
+    low = 0.0 if a >= 0 else math.inf if curve == 0 else math.log(-2 * a / curve) / r
     return _falling_piece(slope, low, horizon)
 
 
 def _F_and_M(F, t, piece):
-    """F(t) and M(t) = sup of F over [0, t], plus 1, when F falls on piece
-    (or None) and rises elsewhere: F peaks where piece starts."""
+    """F and M = sup of F over [0, t], plus 1, at the array t, when F falls
+    on piece (or None) and rises elsewhere: F peaks where piece starts."""
     Ft = F(t)
-    if type(t) is float:
-        peak = F(piece[0]) if piece is not None and t >= piece[0] else Ft
-        return Ft, max(F(0.0), Ft, peak) + 1.0
     sup = np.maximum(F(0.0), Ft)
     if piece is not None:
-        sup = np.where(np.asarray(t) >= piece[0], np.maximum(sup, F(piece[0])), sup)
+        sup = np.where(t >= piece[0], np.maximum(sup, F(piece[0])), sup)
     return Ft, sup + 1.0
 
 
@@ -248,18 +241,17 @@ def M_function(initial: InitialFunctionals, params: SystemParams, t):
     """M(t) = sup over [0,t] of F + 1, exact from F(0), F(t) and F's peak."""
     k = _F_terms(initial, params)
     t = _times(t)
-    piece = _F_falls(initial, params, k, float(np.max(t)))
-    return _scalar(_F_and_M(partial(_width, k), t, piece)[1])
+    return _scalar(_F_and_M(partial(_width, k), t, _width_falls(k, float(np.max(t))))[1])
 
 
 def _G(m, c1, rate, t):
-    """m (c1 t^2 / 2 + exp(rate t) - 1).  For long horizons exp and the
+    """m (c1 t^2 / 2 + expm1(rate t)).  For long horizons expm1 and the
     product overflow to inf, without a warning: G = inf is right there, as
     G < 1 is false just as it is for any G >= 1."""
     if type(t) is float:  # np.errstate would cost more than the rest here
-        return m * (c1 * t**2 / 2 + _exp(rate * t) - 1.0)
+        return m * (c1 * t**2 / 2 + _expm1(rate * t))
     with np.errstate(over="ignore"):
-        return m * (c1 * t**2 / 2 + np.exp(rate * t) - 1.0)
+        return m * (c1 * t**2 / 2 + np.expm1(rate * t))
 
 
 def G_function(initial: InitialFunctionals, params: SystemParams, t):
@@ -269,11 +261,12 @@ def G_function(initial: InitialFunctionals, params: SystemParams, t):
     return _scalar(_G(M_function(initial, params, t), cc.c1, cc.beta, t))
 
 
-def _first(fn, lo, hi, strict, tol=_TIME_TOL):
+def _first(fn, lo, hi, strict):
     """The first t in (lo, hi] where fn(t) < 0 (strict) or fn(t) <= 0 holds,
     for an fn whose predicate stays true once it is: a bracket (a, b) with
-    the predicate false at a (or a = lo) and true at b, at most tol wide or
-    with no float left between a and b; None if it is false at hi.
+    the predicate false at a (or a = lo) and true at b, at most tol =
+    _TIME_TOL wide or with no float left between a and b; None if it is
+    false at hi.
 
     Illinois steps: regula falsi that halves the value kept at one end each
     time a step moves the other end again (Dowell & Jarratt, BIT 11, 1971).
@@ -284,6 +277,7 @@ def _first(fn, lo, hi, strict, tol=_TIME_TOL):
     from both ends: b does not land within rounding of the root, and once
     the root is found the next step closes the bracket."""
     holds = (lambda v: v < 0) if strict else (lambda v: v <= 0)
+    tol = _TIME_TOL
     a, b, fb = lo, hi, fn(hi)
     if not holds(fb):
         return None
@@ -321,22 +315,25 @@ def _falling_piece(slope, low, horizon):
     return r1, horizon if r2 is None else r2[1]
 
 
-def _conjunction(kind, initial, cc, t, F, piece, rate):
+def _conjunction(kind, initial, cc, horizon, t, k, rate):
     """The first time in (0, horizon] where F + 1 < 0 and G < 1 jointly hold,
-    with M(t) = sup of F over [0, t], plus 1, G(t) = M(t) (c1 t^2 / 2 +
-    exp(rate t) - 1) and piece the part of [0, horizon] where F falls.
+    with F the width bound with coefficients k, M(t) = sup of F over [0, t],
+    plus 1, and G(t) = M(t) (c1 t^2 / 2 + exp(rate t) - 1).
 
     As F(0) = X0 >= 0 and G never falls (M >= 1 + X0 > 0 never does), that
-    is the first tF on F's falling piece with F + 1 < 0, if G(tF) < 1.  From
-    t_cut = 2 log1p(1 / (1 + X0)) / rate on, G >= (1 + X0) (exp(rate t) - 1)
-    exceeds 2, so the search for tF ends at t_cut at the latest."""
+    is the first tF on F's falling piece [r1, r2] with F + 1 < 0, if G(tF)
+    < 1; F rises up to r1, so M(tF) = F(r1) + 1.  From t_cut = 2 log1p(1 /
+    (1 + X0)) / rate on, G >= (1 + X0) (exp(rate t) - 1) exceeds 2, so the
+    search for tF ends at t_cut at the latest."""
+    F = partial(_width, k)
+    piece = _width_falls(k, horizon)
     Ft, M = _F_and_M(F, t, piece)
     trace = {"t": t, "F": Ft, "M": M, "G": _G(M, cc.c1, rate, t)}
     found = None
     if piece:
-        t_cut = 2 * math.log1p(1 / (1 + initial.msw)) / rate
+        t_cut = 2 * math.log1p(1 / (1 + k.X0)) / rate
         found = _first(lambda tt: F(tt) + 1, piece[0], min(piece[1], t_cut), True)
-    ok = found is not None and _G(_F_and_M(F, found[1], piece)[1], cc.c1, rate,
+    ok = found is not None and _G(max(F(0.0), F(piece[0])) + 1.0, cc.c1, rate,
                                   found[1]) < 1
     return CriterionReport(kind, ok, found[1] if ok else None, trace, initial, cc,
                            piece, found if ok else None)
@@ -351,10 +348,9 @@ def check_theorem1(
     """The first time in (0, horizon] where F + 1 < 0 and G < 1 jointly hold,
     with G's exponent c3 gamma / c2; samples sets only the trace resolution."""
     cc = _require_c2(params)
-    horizon, t = _setup(initial, params, horizon, samples)
-    k = _F_terms(initial, params)
-    return _conjunction("Theorem1", initial, cc, t, partial(_width, k),
-                        _F_falls(initial, params, k, horizon), cc.beta)
+    horizon, t = _setup(params, horizon, samples)
+    return _conjunction("Theorem1", initial, cc, horizon, t, _F_terms(initial, params),
+                        cc.beta)
 
 
 def _t0_bracket(X0: float, C0: float, params: SystemParams, cc: CriterionConstants):
@@ -481,7 +477,7 @@ def check_theorem2(
     4N e^{lam t} (alpha + beta t) has beta >= 0: h falls until -alpha/beta
     and rises after.  Z(0) = X0 >= 0, so Z's first zero lies on its falling
     piece.  samples sets only the trace resolution."""
-    horizon, t = _setup(initial, params, horizon, samples)
+    horizon, t = _setup(params, horizon, samples)
     cc, k = _z_terms(initial, params)
     _, h0, N, _, lam, alpha, beta, A1, A2 = k
 
@@ -566,10 +562,6 @@ def check_manakov_theorem(
     _require_manakov(params)
     if not params.g > 0:
         raise RegimeViolation(f"Manakov check needs g > 0, got g={params.g}")
-    horizon, t = _setup(initial, params, horizon, samples)
-    k = _manakov_terms(initial, params)
-    # F-hat' = Y0 + 2at is linear: it falls for ever if a < 0 and rises if not
-    piece = _falling_piece(lambda tt: k.Y0 + 2 * k.a * tt,
-                           math.inf if k.a < 0 else 0.0, horizon)
-    return _conjunction("Manakov", initial, cc, t, partial(_width, k),
-                        piece, 48 * N * params.gamma / (N + 2))
+    horizon, t = _setup(params, horizon, samples)
+    return _conjunction("Manakov", initial, cc, horizon, t, _manakov_terms(initial, params),
+                        48 * N * params.gamma / (N + 2))

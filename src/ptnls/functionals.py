@@ -17,7 +17,9 @@ from .model import GaussianIC, SystemParams
 
 @dataclass(frozen=True)
 class InitialFunctionals:
-    """Closed-form t=0 values of the diagnostics for Gaussian inputs."""
+    """The t=0 values of the diagnostics that the criteria read: closed-form
+    for Gaussian inputs, or assembled by hand.  ValueError unless every
+    field is finite and X0 = msw and S0 = s0 are >= 0."""
 
     s0: float
     s1: float
@@ -31,6 +33,16 @@ class InitialFunctionals:
     quarticU: float
     quarticV: float
     crossQuartic: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (
+                self.s0, self.s1, self.s2, self.s3, self.energy, self.msw,
+                self.mswRate, self.gradU2, self.gradV2, self.quarticU,
+                self.quarticV, self.crossQuartic))):
+            bad = [name for name, value in vars(self).items() if not math.isfinite(value)]
+            raise ValueError(f"functionals not finite: {', '.join(bad)}")
+        if not (self.msw >= 0 and self.s0 >= 0):
+            raise ValueError(f"X0 and S0 must be >= 0, got {self.msw}, {self.s0}")
 
 
 # The simulator trace, in trace.csv column order: Stokes components S0-S3,
@@ -56,7 +68,7 @@ def _energy(params: SystemParams, grad_u2, grad_v2, s1, quartic_u, quartic_v, cr
 def gaussian_moments(ic: GaussianIC, params: SystemParams) -> InitialFunctionals:
     """Closed-form t=0 functionals of the Gaussian input pair.
 
-    OverflowError if finite inputs give a functional that is not finite.
+    ValueError if finite inputs give a functional that is not finite.
     """
     A, B = ic.ampU, ic.ampV
     a, b = ic.widthU, ic.widthV
@@ -73,7 +85,7 @@ def gaussian_moments(ic: GaussianIC, params: SystemParams) -> InitialFunctionals
     quartic_v = B**4 * (2 * math.pi) ** (-N / 2) * b ** (-N)
     cross = A**2 * B**2 * (math.pi * (a**2 + b**2)) ** (-N / 2)
     energy = _energy(params, grad_u2, grad_v2, s1, quartic_u, quartic_v, cross)
-    out = InitialFunctionals(
+    return InitialFunctionals(
         s0=s0,
         s1=s1,
         s2=s2,
@@ -87,10 +99,6 @@ def gaussian_moments(ic: GaussianIC, params: SystemParams) -> InitialFunctionals
         quarticV=quartic_v,
         crossQuartic=cross,
     )
-    bad = [name for name, value in vars(out).items() if not math.isfinite(value)]
-    if bad:
-        raise OverflowError(f"Gaussian moments not finite: {', '.join(bad)}")
-    return out
 
 
 def grid_functionals(state, params: SystemParams) -> dict:
@@ -163,6 +171,6 @@ def grid_functionals(state, params: SystemParams) -> dict:
 
 def s0_upper_bound(initial: InitialFunctionals, params: SystemParams, t: float) -> float:
     """Upper bound S0(0) * exp(2*gamma*t) for the total power at time t >= 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
     return initial.s0 * math.exp(2 * params.gamma * t)

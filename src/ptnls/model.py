@@ -146,7 +146,7 @@ def evaluate_ic(ic: GaussianIC, params: SystemParams, r) -> tuple:
     Returns complex values with exactly zero imaginary part.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if not np.all(r >= 0):  # NaN is not >= 0
         raise ValueError("radius must be >= 0")
     N = params.dim
     u0 = ic.ampU * np.pi ** (-N / 4) * ic.widthU ** (-N / 2) * np.exp(

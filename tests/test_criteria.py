@@ -94,6 +94,16 @@ class TestFMG:
         expected = 1.0 + 0.5 * t + (4.8 * (-3.0) + 8 * 1.0 * 2.0) * t**2
         assert F_function(ini, p, t) == pytest.approx(expected, abs=1e-13)
 
+    def test_F_gain_term_accurate_at_small_time(self):
+        # X0 = Y0 = a = 0 leaves b (e^x - x - 1) with b = 4 kappa S0 / gamma^2
+        # = 400 and x = 2 gamma t; e^x - 1 - x would lose ~1e-9 relative here
+        ini = make_initial(s0=100.0, energy=0.0, msw=0.0, mswRate=0.0)
+        p = params(gamma=1.0, kappa=1.0)
+        t = 1.35e-4
+        x = 2 * t
+        series = 400 * (x**2 / 2 + x**3 / 6 + x**4 / 24 + x**5 / 120)
+        assert F_function(ini, p, t) == pytest.approx(series, rel=1e-11, abs=0)
+
     def test_F_rejects_negative_time(self):
         with pytest.raises(ValueError):
             F_function(make_initial(), params(), -0.1)
@@ -489,6 +499,18 @@ class TestManakov:
             oracle = np.interp(tr["t"], dense, np.maximum.accumulate(f_dense)) + 1.0
             assert np.allclose(tr["M"], oracle, rtol=1e-6, atol=1e-8), energy
 
+    def test_manakov_piece_is_the_falling_half_of_the_parabola(self):
+        # a = (8N/(N+2))(E0 - kappa S1) = -24 < 0: F-hat' = Y0 + 2at falls
+        # for ever, so F-hat falls from its vertex -Y0/(2a), or from 0 if Y0 <= 0
+        p = params(gamma=0.5, kappa=1.0)
+        horizon = 2.0
+        rep = check_manakov_theorem(make_initial(energy=-5.0, mswRate=12.0), p, horizon)
+        start, end = rep.piece
+        assert abs(start - 0.25) <= ptnls.criteria._TIME_TOL and end == horizon
+        for y0 in (0.0, -3.0):
+            rep = check_manakov_theorem(make_initial(energy=-5.0, mswRate=y0), p, horizon)
+            assert rep.piece == (0.0, horizon), y0
+
     def test_manakov_check_regimes(self):
         with pytest.raises(NotManakov):
             check_manakov_theorem(make_initial(), params(g1=2.0))
@@ -516,9 +538,9 @@ def test_non_positive_horizon_rejected(check, p, horizon):
             check(make_initial(), p, samples=bad)
     with pytest.raises(ValueError, match="horizon must be a number, not a bool"):
         check(make_initial(), p, True)
-    for bad in (make_initial(msw=-0.5), make_initial(s0=-1.0)):
+    for bad in ({"msw": -0.5}, {"s0": -1.0}):
         with pytest.raises(ValueError, match="X0 and S0 must be >= 0"):
-            check(bad, p)
+            check(make_initial(**bad), p)
 
 
 @pytest.mark.parametrize("check, p", [
@@ -771,5 +793,5 @@ def test_first_agrees_with_bisection(case):
 def test_trace_times_are_linspace(horizon, samples):
     """A check's trace times are np.linspace(0, horizon, samples + 1) bit for
     bit, tiny horizons whose step underflows to 0 included."""
-    _, t = ptnls.criteria._setup(make_initial(), params(), horizon, samples)
+    _, t = ptnls.criteria._setup(params(), horizon, samples)
     assert np.array_equal(t, np.linspace(0.0, horizon, samples + 1))

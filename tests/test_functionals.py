@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from ptnls import (
     GaussianIC,
+    InitialFunctionals,
     RadialGrid,
     RadialState,
     SystemParams,
@@ -223,3 +224,28 @@ class TestS0UpperBound:
         m = gaussian_moments(GaussianIC(1, 1), params())
         with pytest.raises(ValueError):
             s0_upper_bound(m, params(), -1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        m = gaussian_moments(GaussianIC(1, 1), params())
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            s0_upper_bound(m, params(), t)
+
+
+_FIELDS = dict(s0=1.0, s1=0.5, s2=0.0, s3=0.2, energy=-3.0, msw=1.0, mswRate=-0.5,
+               gradU2=1.0, gradV2=1.0, quarticU=0.1, quarticV=0.1, crossQuartic=0.1)
+
+
+class TestInitialFunctionals:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", list(_FIELDS))
+    def test_rejects_non_finite_field(self, name, value):
+        InitialFunctionals(**_FIELDS)
+        with pytest.raises(ValueError, match="functionals not finite: " + name):
+            InitialFunctionals(**{**_FIELDS, name: value})
+
+    @pytest.mark.parametrize("name", ["msw", "s0"])
+    def test_rejects_negative_width_and_power(self, name):
+        InitialFunctionals(**{**_FIELDS, name: 0.0})
+        with pytest.raises(ValueError, match="X0 and S0 must be >= 0"):
+            InitialFunctionals(**{**_FIELDS, name: -1e-300})

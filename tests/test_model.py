@@ -168,6 +168,11 @@ class TestEvaluateIC:
         with pytest.raises(ValueError):
             evaluate_ic(GaussianIC(1, 1, 1, 1), params(), -0.1)
 
+    def test_rejects_nan_radius(self):
+        for r in (math.nan, [0.0, math.nan, 1.0]):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
+                evaluate_ic(GaussianIC(1, 1, 1, 1), params(), r)
+
     def test_positivity_validation(self):
         with pytest.raises(ValueError):
             GaussianIC(ampU=0.0, ampV=1.0)
