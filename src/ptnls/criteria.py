@@ -4,15 +4,20 @@ Covers the main finite-horizon check (the F/M/G conjunction), the two
 threshold lemmas, the early-collapse bound Z(t) with its constant c4, and
 the Manakov-case variants with the extra integrals of motion.
 
-Each bound has a public door and a private closed form.  The door
+Three rules are each written once.  One door: every public bound
 (F_function, M_function, G_function, early_collapse_Z, manakov_F,
-energy_growth_bound) checks the regime, raises ValueError unless every t
-is finite and >= 0, and returns a float for a scalar t.  The closed form
-(_width for F and F-hat, _Z for Z) takes coefficients computed beforehand
-and a float or array t, and checks nothing.  A check computes its
-constants and coefficients once, then evaluates the closed form on its
-trace and at every step of its root-finder.  The trace arrays equal the
-door bit for bit; at a float t the closed forms use math.exp and
+energy_growth_bound) checks its regime, if any, and passes its closed
+form and t to _door, which raises ValueError unless every t is finite
+and >= 0, returns a float for a scalar t, and lets overflow give inf
+without a warning.  One finiteness check: _finite raises OverflowError where a
+record of constants or coefficients is made with an entry that is not
+finite.  One lemma body: _lemma, for both threshold lemmas.
+
+The closed forms (_width for F and F-hat, _M, _G, _Z) take coefficients
+computed beforehand and a float or array t, and check nothing.  A check
+computes its constants and coefficients once, then evaluates the closed
+forms on its trace and at every step of its root-finder.  The trace arrays
+equal the door bit for bit; at a float t the closed forms use math.exp and
 math.expm1, which may differ from numpy's in the last bit.  The checks
 trust the InitialFunctionals record: it is finite, with X0, S0 >= 0.
 """
@@ -69,15 +74,24 @@ def in_early_collapse_regime(params: SystemParams) -> bool:
     return params.g1 > 0 and params.g2 <= 0 and params.g <= 0
 
 
+def _finite(kind, k):
+    """k, a record of constants or coefficients whose None entries are
+    skipped; OverflowError (CLI exit 3) if finite inputs gave an entry that
+    is not finite, so that no bound starts from nan or inf."""
+    if not all(math.isfinite(c) for c in k if c is not None):
+        raise OverflowError(f"{kind} not finite: {k}")
+    return k
+
+
 @lru_cache(maxsize=1)
 def constants(params: SystemParams) -> CriterionConstants:
     """The constants c1..c4 entering the blowup conditions.
 
     c2 (and hence beta) is defined only in the focusing regime; it is left
     as None otherwise so that c1, c3, c4 remain available.  RegimeViolation
-    unless dim >= 3 and gamma > 0; OverflowError if finite inputs give a
-    constant that is not finite.  Memoized: the checks and lemmas of one
-    input all ask for the same params.
+    unless dim >= 3 and gamma > 0; OverflowError (_finite) if finite inputs
+    give a constant that is not finite.  Memoized: the checks and lemmas of
+    one input all ask for the same params.
     """
     if params.dim < 3:
         raise RegimeViolation(f"criteria need dim >= 3, got {params.dim}")
@@ -102,10 +116,8 @@ def constants(params: SystemParams) -> CriterionConstants:
     else:
         c2 = None
         beta = None
-    if not all(math.isfinite(c) for c in (c1, c2, c3, c4, beta) if c is not None):
-        raise OverflowError(f"constants are not finite: c1={c1}, c2={c2}, "
-                            f"c3={c3}, c4={c4}, beta={beta}")
-    return CriterionConstants(c1=c1, c2=c2, c3=c3, c4=c4, beta=beta)
+    return CriterionConstants(*_finite("constants (c1, c2, c3, c4, beta)",
+                                       (c1, c2, c3, c4, beta)))
 
 
 def _require_c2(params: SystemParams) -> CriterionConstants:
@@ -152,16 +164,14 @@ def _setup(params: SystemParams, horizon, samples):
     return horizon, t
 
 
-def _times(t) -> np.ndarray:
-    """t as a float array; ValueError unless every t is finite and >= 0."""
+def _door(bound, t):
+    """The closed form bound at t, a float for a scalar t; ValueError unless
+    every t is finite and >= 0.  Overflow gives inf without a warning."""
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < math.inf)):
         raise ValueError("t must be finite and >= 0")
-    return t
-
-
-def _scalar(out):
-    """A 0-d result as a float; an array as it is."""
+    with np.errstate(over="ignore"):
+        out = bound(t)
     return out if out.ndim else float(out)
 
 
@@ -203,14 +213,13 @@ def _F_terms(initial: InitialFunctionals, params: SystemParams) -> _Width:
         raise RegimeViolation("F is defined for gamma > 0 (it divides by gamma)")
     N, gamma, S0 = params.dim, params.gamma, initial.s0
     b = (4 * params.kappa / gamma**2) * S0 if S0 != 0 else 0.0
-    return _Width(initial.msw, initial.mswRate, (8 * N / (N + 2)) * initial.energy,
-                  b, 2 * gamma)
+    a = (8 * N / (N + 2)) * initial.energy
+    return _finite("F coefficients", _Width(initial.msw, initial.mswRate, a, b, 2 * gamma))
 
 
 def F_function(initial: InitialFunctionals, params: SystemParams, t):
     """Width bound F(t) built from the t=0 functionals."""
-    k = _F_terms(initial, params)
-    return _scalar(_width(k, _times(t)))
+    return _door(partial(_width, _F_terms(initial, params)), t)
 
 
 def _width_falls(k: _Width, horizon):
@@ -237,28 +246,28 @@ def _F_and_M(F, t, piece):
     return Ft, sup + 1.0
 
 
+def _M(k: _Width, t):
+    """M = sup of the width bound with coefficients k over [0, t], plus 1,
+    at the array t, exact from its values at 0, at t and at its peak."""
+    return _F_and_M(partial(_width, k), t, _width_falls(k, float(np.max(t, initial=0.0))))[1]
+
+
 def M_function(initial: InitialFunctionals, params: SystemParams, t):
     """M(t) = sup over [0,t] of F + 1, exact from F(0), F(t) and F's peak."""
-    k = _F_terms(initial, params)
-    t = _times(t)
-    return _scalar(_F_and_M(partial(_width, k), t, _width_falls(k, float(np.max(t))))[1])
+    return _door(partial(_M, _F_terms(initial, params)), t)
 
 
 def _G(m, c1, rate, t):
-    """m (c1 t^2 / 2 + expm1(rate t)).  For long horizons expm1 and the
-    product overflow to inf, without a warning: G = inf is right there, as
-    G < 1 is false just as it is for any G >= 1."""
-    if type(t) is float:  # np.errstate would cost more than the rest here
-        return m * (c1 * t**2 / 2 + _expm1(rate * t))
-    with np.errstate(over="ignore"):
-        return m * (c1 * t**2 / 2 + np.expm1(rate * t))
+    """m (c1 t^2 / 2 + expm1(rate t)) at a float or array t.  For long
+    horizons the product overflows to inf: G = inf is right there, as G < 1
+    is false just as it is for any G >= 1."""
+    return m * (c1 * t**2 / 2 + _expm1(rate * t))
 
 
 def G_function(initial: InitialFunctionals, params: SystemParams, t):
     """G(t) = M(t) * (c1 t^2 / 2 + exp(c3 gamma t / c2) - 1)."""
-    cc = _require_c2(params)
-    t = _times(t)
-    return _scalar(_G(M_function(initial, params, t), cc.c1, cc.beta, t))
+    cc, k = _require_c2(params), _F_terms(initial, params)
+    return _door(lambda t: _G(_M(k, t), cc.c1, cc.beta, t), t)
 
 
 def _first(fn, lo, hi, strict):
@@ -327,8 +336,9 @@ def _conjunction(kind, initial, cc, horizon, t, k, rate):
     search for tF ends at t_cut at the latest."""
     F = partial(_width, k)
     piece = _width_falls(k, horizon)
-    Ft, M = _F_and_M(F, t, piece)
-    trace = {"t": t, "F": Ft, "M": M, "G": _G(M, cc.c1, rate, t)}
+    with np.errstate(over="ignore"):  # as at the door: F, M and G may reach inf
+        Ft, M = _F_and_M(F, t, piece)
+        trace = {"t": t, "F": Ft, "M": M, "G": _G(M, cc.c1, rate, t)}
     found = None
     if piece:
         t_cut = 2 * math.log1p(1 / (1 + k.X0)) / rate
@@ -353,58 +363,52 @@ def check_theorem1(
                         cc.beta)
 
 
-def _t0_bracket(X0: float, C0: float, params: SystemParams, cc: CriterionConstants):
-    beta, c1 = cc.beta, cc.c1
+def _lemma(initial, params, C0, key, value, bound) -> dict:
+    """A threshold lemma: T0's bracket [T0min, T0max], and whether value lies
+    below bound(m_tilde, T0min), reported under key.  C0 is called once the
+    regime is checked, as it divides by gamma; OverflowError unless the
+    bracket and the bound are finite."""
+    cc = _require_c2(params)
+    beta, c1, X0 = cc.beta, cc.c1, initial.msw
     t0_max = (1 / beta) * math.log(1 + beta**2 / ((1 + X0) * (beta**2 + c1)))
-    m_tilde = 1 + X0 + C0 * (math.exp(2 * params.gamma * t0_max) - 1)
+    m_tilde = 1 + X0 + C0() * (math.exp(2 * params.gamma * t0_max) - 1)
     t0_min = (1 / beta) * math.log(1 + beta**2 / (m_tilde * (beta**2 + c1)))
-    return t0_max, t0_min, m_tilde
+    b = bound(m_tilde, t0_min)
+    _finite("lemma (T0max, T0min, bound)", (t0_max, t0_min, b))
+    return {"T0max": t0_max, "T0min": t0_min, key: b, "satisfied": value < b,
+            "constants": cc}
 
 
 def lemma1_threshold(initial: InitialFunctionals, params: SystemParams) -> dict:
     """Negative-energy threshold: blowup certified when E(0) is below the bound."""
-    cc = _require_c2(params)
-    gamma, kappa = params.gamma, params.kappa
-    N = params.dim
-    C0 = abs(initial.mswRate) / (2 * gamma) + (4 * kappa / gamma**2) * initial.s0
-    t0_max, t0_min, m_tilde = _t0_bracket(initial.msw, C0, params, cc)
-    bound = -(N + 2) * m_tilde / (8 * N * t0_min**2)
-    return {
-        "T0max": t0_max,
-        "T0min": t0_min,
-        "E0bound": bound,
-        "satisfied": initial.energy < bound,
-        "constants": cc,
-    }
+    N, gamma, kappa = params.dim, params.gamma, params.kappa
+    return _lemma(
+        initial, params,
+        lambda: abs(initial.mswRate) / (2 * gamma) + (4 * kappa / gamma**2) * initial.s0,
+        "E0bound", initial.energy,
+        lambda m_tilde, t0_min: -(N + 2) * m_tilde / (8 * N * t0_min**2))
 
 
 def lemma2_threshold(initial: InitialFunctionals, params: SystemParams) -> dict:
     """Negative-Y(0) threshold with the redefined constant C0."""
-    cc = _require_c2(params)
-    gamma, kappa = params.gamma, params.kappa
-    N = params.dim
-    C0 = (
-        4 * N * abs(initial.energy) / ((N + 2) * gamma**2)
-        + (4 * kappa / gamma**2) * initial.s0
-    )
-    t0_max, t0_min, m_tilde = _t0_bracket(initial.msw, C0, params, cc)
-    bound = 8 * kappa * initial.s0 / gamma - m_tilde / t0_min
-    return {
-        "T0max": t0_max,
-        "T0min": t0_min,
-        "Y0bound": bound,
-        "satisfied": initial.mswRate < bound,
-        "constants": cc,
-    }
+    N, gamma, kappa = params.dim, params.gamma, params.kappa
+    return _lemma(
+        initial, params,
+        lambda: (4 * N * abs(initial.energy) / ((N + 2) * gamma**2)
+                 + (4 * kappa / gamma**2) * initial.s0),
+        "Y0bound", initial.mswRate,
+        lambda m_tilde, t0_min: 8 * kappa * initial.s0 / gamma - m_tilde / t0_min)
 
 
 def energy_growth_bound(initial: InitialFunctionals, params: SystemParams, t):
     """E_max(t) = (E(0) + 2 kappa gamma S0(0) t) exp(2 gamma t)."""
-    t = _times(t)
-    out = (
-        initial.energy + 2 * params.kappa * params.gamma * initial.s0 * t
-    ) * np.exp(2 * params.gamma * t)
-    return _scalar(out)
+    E0, slope = initial.energy, 2 * params.kappa * params.gamma * initial.s0
+
+    def bound(t):  # 0 where E0 = slope = 0, not 0 * inf once exp overflows
+        val = E0 + slope * t
+        return val * np.exp(2 * params.gamma * t) if E0 or slope else val
+
+    return _door(bound, t)
 
 
 class _ZTerms(NamedTuple):
@@ -436,8 +440,9 @@ def _z_terms(initial: InitialFunctionals, params: SystemParams):
     lam = c4 + 2 * params.gamma
     alpha = initial.energy + params.kappa * initial.s0
     beta = 2 * params.kappa * params.gamma * initial.s0
-    return cc, _ZTerms(initial.msw, initial.mswRate - c4 * initial.msw, params.dim,
-                       c4, lam, alpha, beta, alpha / lam - beta / lam**2, beta / lam)
+    k = _ZTerms(initial.msw, initial.mswRate - c4 * initial.msw, params.dim, c4, lam,
+                alpha, beta, alpha / lam - beta / lam**2, beta / lam)
+    return cc, _finite("Z coefficients", k)
 
 
 def _Z(k: _ZTerms, t):
@@ -461,8 +466,7 @@ def early_collapse_Z(initial: InitialFunctionals, params: SystemParams, t):
     are integrated exactly (the tests compare against nested adaptive
     quadrature).
     """
-    _, k = _z_terms(initial, params)
-    return _scalar(_Z(k, _times(t)))
+    return _door(partial(_Z, _z_terms(initial, params)[1]), t)
 
 
 def check_theorem2(
@@ -536,12 +540,14 @@ def _manakov_terms(initial: InitialFunctionals, params: SystemParams) -> _Width:
     """F-hat's coefficients."""
     N = params.dim
     a = (8 * N / (N + 2)) * (initial.energy - params.kappa * initial.s1)
-    return _Width(initial.msw, initial.mswRate, a, 0.0, 0.0)
+    return _finite("F-hat coefficients", _Width(initial.msw, initial.mswRate, a, 0.0, 0.0))
 
 
 def manakov_F(initial: InitialFunctionals, params: SystemParams, t):
-    """Quadratic width bound of the Manakov reformulation."""
-    return _scalar(_width(_manakov_terms(initial, params), _times(t)))
+    """Quadratic width bound of the Manakov reformulation; NotManakov unless
+    g1 = g2 = g."""
+    _require_manakov(params)
+    return _door(partial(_width, _manakov_terms(initial, params)), t)
 
 
 def check_manakov_theorem(

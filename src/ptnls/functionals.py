@@ -170,7 +170,13 @@ def grid_functionals(state, params: SystemParams) -> dict:
 
 
 def s0_upper_bound(initial: InitialFunctionals, params: SystemParams, t: float) -> float:
-    """Upper bound S0(0) * exp(2*gamma*t) for the total power at time t >= 0."""
+    """Upper bound S0(0) * exp(2*gamma*t) for the total power at time t >= 0:
+    inf where the exponential overflows, and 0 when S0(0) = 0."""
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and >= 0")
-    return initial.s0 * math.exp(2 * params.gamma * t)
+    if not initial.s0:
+        return 0.0
+    try:
+        return initial.s0 * math.exp(2 * params.gamma * t)
+    except OverflowError:
+        return math.inf

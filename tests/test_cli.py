@@ -262,6 +262,19 @@ class TestModes:
         assert lines[0][0] == "theorem1.satisfied = True"
         assert lines[0] == lines[1] == lines[2] == lines[4096]
 
+    def test_criteria_long_horizon_prints_nothing(self, tmp_path):
+        # fig2 panel a at horizon 2000: F, M and G overflow to inf on the
+        # trace, which is no error and prints no RuntimeWarning
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in cli._FIG2_BASE.items())
+                       + "criteria.horizon = 2000\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "ptnls.cli", "criteria", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(_SRC)}, capture_output=True, text=True,
+            timeout=120)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+
     def test_criteria_early_collapse(self, tmp_path):
         text = (
             "params.gamma = 0.5\nparams.kappa = 1\n"
@@ -812,6 +825,8 @@ _EXTREMES = (0.0, -0.0, -1.0, 1e300, -1e300, 1e-300, 1e-320,
 )
 # c2 = 8e-321: beta = c3*gamma/c2 overflows, and the lemma bounds would be nan
 @example(values={"params.kappa": 1e-320, "params.g2": 1e-320, "ic.A": 1e-320}, dim=3)
+# F's gain coefficient 4 kappa S0 / gamma^2 overflows, so the lemmas would be nan
+@example(values={"params.gamma": 1e-160}, dim=3)
 def test_criteria_exits_with_a_documented_code(values, dim):
     text = "".join(f"{k} = {v!r}\n" for k, v in values.items())
     text += f"params.dim = {dim}\ncriteria.samples = 32\n"

@@ -219,6 +219,20 @@ class TestTheorem1:
         with pytest.raises(RegimeViolation):
             check_theorem1(make_initial(), params(g2=-1.0, g=-0.5))
 
+    def test_long_horizon_overflows_without_a_warning_or_a_new_answer(self):
+        # a certified input at gamma = 0.1: at horizon 2e4, F, M and G all
+        # overflow to inf on the trace, silently, and the answer is the
+        # default horizon's
+        p = params(gamma=0.1)
+        ini = gaussian_moments(GaussianIC(10.0, 10.0, 0.25, 0.25), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_theorem1(ini, p, horizon=20000.0)
+        assert rep.certifiedTime == check_theorem1(ini, p).certifiedTime
+        assert rep.certifiedTime == 0.007360924148260975
+        for name in ("F", "M", "G"):
+            assert rep.functionTrace[name][-1] == math.inf, name
+
     def test_long_horizon_G_overflows_without_a_warning(self):
         # exp(beta t) overflows long before t = 100: G = inf there, which
         # decides G < 1 the same way as any G >= 1 does
@@ -411,6 +425,8 @@ class TestManakov:
     def test_requires_equal_couplings(self):
         with pytest.raises(NotManakov):
             manakov_invariants(make_initial(), params(g1=2.0))
+        with pytest.raises(NotManakov):
+            manakov_F(make_initial(), params(g1=2.0), 0.5)
 
     def test_invariants_values(self):
         ini = make_initial(s0=3.0, s1=0.4, s2=-0.2, s3=1.0)
@@ -645,10 +661,22 @@ _BOUNDS = {
 
 @pytest.mark.parametrize("name", list(_BOUNDS))
 def test_bound_rejects_times_not_finite_and_non_negative(name):
+    """The door of every bound: a float for a scalar t, an array (empty for
+    []) otherwise, +inf or a finite value without a warning where exp
+    overflows (gamma = 0.5, t = 1e4), and ValueError for a t that is not
+    finite and >= 0."""
     bound, p = _BOUNDS[name]
     ini = make_initial(s0=1.0, energy=-3.0, mswRate=0.5)
     assert isinstance(bound(ini, p, 0.5), float)
     assert bound(ini, p, [0.0, -0.0, 0.5]).shape == (3,)
+    empty = bound(ini, p, [])
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    zero = make_initial(s0=0.0, msw=0.0)  # E_max = 0, not 0 * inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for record in (ini, zero):
+            for t in (1e4, [0.0, 1e4]):
+                assert np.all(np.asarray(bound(record, p, t)) > -math.inf), (record, t)
     for bad in (-0.1, -math.inf, math.nan, math.inf, [0.5, math.nan], [[0.1], [math.inf]]):
         with pytest.raises(ValueError, match="t must be finite and >= 0"):
             bound(ini, p, bad)

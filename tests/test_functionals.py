@@ -220,6 +220,13 @@ class TestS0UpperBound:
         m = gaussian_moments(GaussianIC(4, 2, 0.3, 0.1), params(gamma=0.5))
         assert s0_upper_bound(m, params(gamma=0.5), 1.0) == pytest.approx(20 * math.e)
 
+    def test_overflow(self):
+        # exp(2 gamma t) overflows at t = 1000: the bound is inf, or 0 at S0 = 0
+        m = gaussian_moments(GaussianIC(4, 2, 0.3, 0.1), params(gamma=0.5))
+        assert s0_upper_bound(m, params(gamma=0.5), 1000.0) == math.inf
+        zero = InitialFunctionals(**{**_FIELDS, "s0": 0.0})
+        assert s0_upper_bound(zero, params(gamma=0.5), 1000.0) == 0.0
+
     def test_negative_time_rejected(self):
         m = gaussian_moments(GaussianIC(1, 1), params())
         with pytest.raises(ValueError):
