@@ -200,10 +200,18 @@ def _expm1(x):
 def _width(k: _Width, t):
     """The width bound with coefficients k at a float or array t, unchecked."""
     X0, Y0, a, b, rate = k
-    val = X0 + Y0 * t + a * (t * t)  # numpy's t**2 is t * t; a float's is pow
+    val = X0 + Y0 * t  # a new array for an array t, so += below writes no input
+    if a:  # a = 0 at E0 = 0, where a t^2 is 0 * inf once t * t overflows
+        val += a * (t * t)  # numpy's t**2 is t * t; a float's is pow
     if b:  # b = 0 at S0 = 0, where the gain term is 0 * inf once exp overflows
         # expm1 keeps the term accurate at small t, where e^x - 1 cancels
-        val = val + b * (_expm1(rate * t) - rate * t)
+        gain = b * (_expm1(rate * t) - rate * t)
+        # it dominates: F = inf where it overflows, also where a t^2 = -inf
+        if type(gain) is float:
+            return val + gain if gain < math.inf else math.inf
+        if gain.max(initial=0.0) == math.inf:  # 0 + inf there, not -inf + inf = nan
+            val = np.where(gain < math.inf, val, 0.0)
+        val += gain
     return val
 
 
@@ -404,9 +412,9 @@ def energy_growth_bound(initial: InitialFunctionals, params: SystemParams, t):
     """E_max(t) = (E(0) + 2 kappa gamma S0(0) t) exp(2 gamma t)."""
     E0, slope = initial.energy, 2 * params.kappa * params.gamma * initial.s0
 
-    def bound(t):  # 0 where E0 = slope = 0, not 0 * inf once exp overflows
-        val = E0 + slope * t
-        return val * np.exp(2 * params.gamma * t) if E0 or slope else val
+    def bound(t):  # 0 where E0 + slope t = 0, not 0 * inf once exp overflows
+        val = np.array(E0 + slope * t)
+        return np.multiply(val, np.exp(2 * params.gamma * t), out=val, where=val != 0)
 
     return _door(bound, t)
 

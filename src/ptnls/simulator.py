@@ -10,19 +10,22 @@ depends only on dt, the grid and the coefficients comes from _operator,
 which memoizes its last call, so it is made again only when one of them
 changes.
 
-scipy, which supplies zgtsv, is imported at the first solve, not with this
-module: importing it takes about 0.3 s and the closed-form criteria never
-solve, so `import ptnls` and a `ptnls criteria` job do without it (README,
-"Install and test", quotes the measured start-up times).
-convergence_check and a simulate sweep import it before they start a
+zgtsv is loaded at the first solve, not with this module, and from scipy's
+LAPACK extension alone (_zgtsv): importing scipy.linalg would bring about
+300 more modules and take about 0.2 s, and the closed-form criteria never
+solve, so `import ptnls` and a `ptnls criteria` job load nothing of scipy
+(README, "Install and test", quotes the measured start-up times).
+convergence_check and a simulate sweep load the solver before they start a
 worker pool, so workers forked from a parent that has not solved yet
-inherit it rather than each importing it again; a spawn or forkserver
-worker imports it itself at its first solve.  ProcessPoolExecutor, which
-brings multiprocessing and socket, is likewise imported at the first pool.
+inherit it rather than each loading it again; a spawn or forkserver worker
+loads it itself at its first solve.  ProcessPoolExecutor, which brings
+multiprocessing and socket, is likewise imported at the first pool.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -131,10 +134,20 @@ def load_initial(ic: GaussianIC, grid: RadialGrid, params: SystemParams) -> Radi
 
 @cache
 def _zgtsv():
-    """LAPACK's zgtsv, imported with scipy.linalg on the first call."""
-    from scipy.linalg.lapack import zgtsv
-
-    return zgtsv
+    """LAPACK's zgtsv, loaded at the first call from the one extension that
+    defines it, scipy.linalg._flapack, without importing scipy or
+    scipy.linalg; ImportError naming that extension if it is not there.
+    It is the object scipy.linalg.lapack.zgtsv names, whichever of the two
+    loads first: the extension is initialized once per process."""
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", dirs)
+    if spec is None:
+        raise ImportError("zgtsv needs scipy.linalg._flapack, which was not found",
+                          name="scipy.linalg._flapack")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.zgtsv
 
 
 def _tridiag_solve(diag, links, rhs, scratch):

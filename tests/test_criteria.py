@@ -104,6 +104,18 @@ class TestFMG:
         series = 400 * (x**2 / 2 + x**3 / 6 + x**4 / 24 + x**5 / 120)
         assert F_function(ini, p, t) == pytest.approx(series, rel=1e-11, abs=0)
 
+    def test_F_is_inf_where_the_gain_term_overflows(self):
+        # past t ~ 1e153 a t^2 = -inf (E0 < 0) meets the gain term's +inf;
+        # the exponential dominates, so F is inf there, not nan
+        p = SystemParams(0.5, 1.0, g=1.0)
+        ini = gaussian_moments(GaussianIC(4.5, 6.0, 1.0, 0.5), p)
+        t = [0.0, 1e150, 1e153, 1e200, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert F_function(ini, p, t).tolist() == [ini.msw] + [math.inf] * 4
+        # the root-finder's Python-float path agrees
+        assert ptnls.criteria._width(ptnls.criteria._F_terms(ini, p), 1e300) == math.inf
+
     def test_F_rejects_negative_time(self):
         with pytest.raises(ValueError):
             F_function(make_initial(), params(), -0.1)
@@ -348,6 +360,16 @@ class TestEarlyCollapse:
         t = 0.7
         expected = (-3.0 + 2 * 1.0 * 0.5 * 2.0 * t) * math.exp(t)
         assert energy_growth_bound(ini, p, t) == pytest.approx(expected, rel=1e-12)
+
+    def test_energy_growth_bound_is_zero_where_its_factor_is(self):
+        # E(0) + 2 kappa gamma S0 t = 0 at t = 2000, where exp(2 gamma t) = inf
+        ini = make_initial(s0=1.0, energy=-2000.0)
+        p = params(gamma=0.5, kappa=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = energy_growth_bound(ini, p, [1999.0, 2000.0, 2001.0])
+            assert got.tolist() == [-math.inf, 0.0, math.inf]
+            assert energy_growth_bound(ini, p, 2000.0) == 0.0
 
     def test_Z_at_zero(self):
         p = params(g1=4.0, g2=-1.0, g=-0.5)
@@ -663,8 +685,8 @@ _BOUNDS = {
 def test_bound_rejects_times_not_finite_and_non_negative(name):
     """The door of every bound: a float for a scalar t, an array (empty for
     []) otherwise, +inf or a finite value without a warning where exp
-    overflows (gamma = 0.5, t = 1e4), and ValueError for a t that is not
-    finite and >= 0."""
+    overflows (gamma = 0.5, t = 1e4), +-inf but not nan where t * t does
+    too (t = 1e300), and ValueError for a t that is not finite and >= 0."""
     bound, p = _BOUNDS[name]
     ini = make_initial(s0=1.0, energy=-3.0, mswRate=0.5)
     assert isinstance(bound(ini, p, 0.5), float)
@@ -677,6 +699,8 @@ def test_bound_rejects_times_not_finite_and_non_negative(name):
         for record in (ini, zero):
             for t in (1e4, [0.0, 1e4]):
                 assert np.all(np.asarray(bound(record, p, t)) > -math.inf), (record, t)
+            for t in (1e300, [0.0, 1e300]):
+                assert not np.isnan(bound(record, p, t)).any(), (record, t)
     for bad in (-0.1, -math.inf, math.nan, math.inf, [0.5, math.nan], [[0.1], [math.inf]]):
         with pytest.raises(ValueError, match="t must be finite and >= 0"):
             bound(ini, p, bad)

@@ -1,3 +1,4 @@
+import importlib.machinery
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -23,7 +24,7 @@ from ptnls import (
     run,
     step,
 )
-from ptnls.simulator import _accepted, _operator, _tridiag_solve, _verdict, _workspace
+from ptnls.simulator import _accepted, _operator, _tridiag_solve, _verdict, _workspace, _zgtsv
 
 
 def params(gamma=0.5, kappa=1.0, g1=1.0, g2=1.0, g=1.0):
@@ -269,6 +270,25 @@ class TestTridiagSolve:
         with pytest.raises(SolverDiverged):
             _tridiag_solve(np.zeros((2, 17), complex), np.zeros((2, 33), complex),
                            np.ones((2, 17), complex), np.empty((2, 33), complex))
+
+
+class TestSolverLoad:
+    """A missing LAPACK extension is named; TestScipyLoad in test_cli.py
+    checks what the solver loads in a fresh interpreter."""
+
+    def test_missing_extension_is_named(self, monkeypatch):
+        _zgtsv.cache_clear()
+        try:
+            monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                                lambda *args, **kwargs: None)
+            with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as err:
+                _zgtsv()
+            assert err.value.name == "scipy.linalg._flapack"
+        finally:
+            monkeypatch.undo()
+            _zgtsv.cache_clear()
+            _zgtsv()
+        assert _zgtsv.cache_info().currsize == 1
 
 
 class TestWorkspace:
