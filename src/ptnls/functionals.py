@@ -52,6 +52,15 @@ TRACE_COLUMNS = ["t", "S0", "S1", "S2", "S3", "E", "X", "Y",
                  "peakU2", "peakV2", "originU", "originV"]
 
 
+def _abs2(f: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """|f|^2 as re^2 + im^2, in out if given (scratch holds im^2).  Squaring
+    np.abs (hypot) rounds twice, and with numpy 2.4 is no faster: 5.2-5.8
+    against 4.8 us at n = 999 on a 2-vCPU x86 VM, where np.multiply(x, x)
+    takes 6.4 us for the same bits."""
+    out = np.square(f.real, out=out)
+    return np.add(out, np.square(f.imag, out=scratch), out=out)
+
+
 def _energy(params: SystemParams, grad_u2, grad_v2, s1, quartic_u, quartic_v, cross):
     """E = int |grad u|^2 + |grad v|^2 + kappa S1 - g1/2 |u|^4 - g2/2 |v|^4
     - g |u|^2 |v|^2, from its integrals."""
@@ -115,7 +124,7 @@ def grid_functionals(state, params: SystemParams) -> dict:
     grid = state.grid
     dr, r, inv_r2, f = grid.dr, grid.nodes, grid.inv_r2, state.f
     with np.errstate(over="ignore", invalid="ignore"):
-        f2 = f.real**2 + f.imag**2
+        f2 = _abs2(f)
         p2, q2 = f2
         u2 = f2 * inv_r2  # |u|^2 and |v|^2
         sum_p2, sum_q2 = np.sum(f2, axis=1)

@@ -143,16 +143,22 @@ def rotation_coefficients(params: SystemParams) -> RotationCoefficients:
 def evaluate_ic(ic: GaussianIC, params: SystemParams, r) -> tuple:
     """Evaluate both Gaussian profiles at radius r (scalar or array).
 
-    Returns complex values with exactly zero imaginary part.
+    Returns complex values with exactly zero imaginary part.  A square of r
+    or of a width that overflows or underflows gives the profile's limit
+    there (0, or nan for 0/0) without a warning; a width whose power in
+    the profile overflows a float raises OverflowError naming that width.
     """
     r = np.asarray(r, dtype=float)
     if not np.all(r >= 0):  # NaN is not >= 0
         raise ValueError("radius must be >= 0")
     N = params.dim
-    u0 = ic.ampU * np.pi ** (-N / 4) * ic.widthU ** (-N / 2) * np.exp(
-        -(r**2) / (2 * ic.widthU**2)
-    )
-    v0 = ic.ampV * np.pi ** (-N / 4) * ic.widthV ** (-N / 2) * np.exp(
-        -(r**2) / (2 * ic.widthV**2)
-    )
-    return u0.astype(complex), v0.astype(complex)
+
+    def profile(name, amp, width):
+        try:
+            scale, spread = amp * np.pi ** (-N / 4) * width ** (-N / 2), 2 * width**2
+        except OverflowError:
+            raise OverflowError(f"{name} = {width!r} overflows the Gaussian profile") from None
+        return (scale * np.exp(-(r**2) / spread)).astype(complex)
+
+    with np.errstate(all="ignore"):
+        return profile("widthU", ic.ampU, ic.widthU), profile("widthV", ic.ampV, ic.widthV)

@@ -5,10 +5,10 @@ Works in the reduced variables p = r*u, q = r*v, held as the rows of one
 r = L.  The stepper is Crank-Nicolson with the nonlinear factor handled by
 lagged fixed-point correction; each corrector pass solves the (p, q) pair
 in Cayley form with one LAPACK zgtsv call, and writes its operands into
-scratch arrays that run makes once per run.  What a pass needs that
-depends only on dt, the grid and the coefficients comes from _operator,
-which memoizes its last call, so it is made again only when one of them
-changes.
+scratch arrays that the accept/reject loop makes once per run.  What a
+pass needs that depends only on dt, the grid and the coefficients comes
+from _operator, which memoizes its last call, so it is made again only
+when one of them changes.
 
 zgtsv is loaded at the first solve, not with this module, and from scipy's
 LAPACK extension alone (_zgtsv): importing scipy.linalg would bring about
@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigInvalid, SolverDiverged
-from .functionals import TRACE_COLUMNS, grid_functionals
+from .functionals import TRACE_COLUMNS, _abs2, grid_functionals
 from .model import GaussianIC, SystemParams, _is_int, evaluate_ic
 
 
@@ -68,8 +68,10 @@ class RadialGrid:
 
     @cached_property
     def inv_r2(self) -> np.ndarray:
-        """1/r^2 at the nodes, made once per grid and read-only."""
-        inv = 1.0 / self.nodes**2
+        """1/r^2 at the nodes, made once per grid and read-only; inf where
+        r^2 underflows to 0 and 0 where it overflows, without a warning."""
+        with np.errstate(over="ignore", divide="ignore"):
+            inv = 1.0 / self.nodes**2
         inv.flags.writeable = False
         return inv
 
@@ -150,16 +152,16 @@ def _zgtsv():
     return flapack.zgtsv
 
 
-def _tridiag_solve(diag, links, rhs, scratch):
-    """Solve each row of rhs with that row of diag on the diagonal and the
-    off-diagonals links, one (2n - 1) row each for the two rows stacked as
-    one system, beside it.  Overwrites diag, rhs and scratch, and returns the
-    solution in rhs's memory; links is copied into scratch, which zgtsv
-    overwrites, and is only read, so one links serves every solve with the
-    same off-diagonal."""
+def _tridiag_solve(diag, link, rhs, scratch):
+    """Solve each row of rhs with that row of diag on the diagonal and link,
+    one (2n - 1) row for the two rows stacked as one system, as both the
+    sub- and the superdiagonal.  Overwrites diag, rhs and scratch, and
+    returns the solution in rhs's memory; link is copied into both rows of
+    scratch, the (2, 2n - 1) dl and du that zgtsv overwrites, and is only
+    read, so one link serves every solve with the same off-diagonal."""
     if not (np.isfinite(diag.view(float)).all() and np.isfinite(rhs.view(float)).all()):
         raise SolverDiverged("non-finite operands in the tridiagonal solve")
-    np.copyto(scratch, links)
+    np.copyto(scratch, link)
     *_, x, info = _zgtsv()(scratch[0], diag.ravel(), scratch[1], rhs.ravel(),
                            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info != 0:
@@ -167,33 +169,27 @@ def _tridiag_solve(diag, links, rhs, scratch):
     return x.reshape(rhs.shape)
 
 
-def _abs2(f: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """|f|^2 as re^2 + im^2, kept for its rounding: squaring np.abs (hypot) is
-    faster with numpy 2.4 (6.4 against 10.1 us at n = 999) but rounds twice."""
-    np.multiply(f.real, f.real, out=out)
-    return np.add(out, np.multiply(f.imag, f.imag, out=scratch), out=out)
-
-
 @lru_cache(maxsize=1)
 def _operator(n: int, dr: float, dt: float, gamma, kappa, g1, g2, g) -> tuple:
     """What a step of size dt needs that depends only on dt, the grid and
     the coefficients: dc = 1 - k (gain - 2i/dr^2), the (2, 1) diagonal
     without w; i k kappa; first and later, k and k/2 times (g1, g; g, g2),
-    for the first pass and those after it; and links, zgtsv's sub- and
-    superdiagonal, -i k/dr^2 but for a zero where the two stacked rows meet,
-    so that elimination does not cross from one into the other.  The arrays
-    are read-only, because every step with the same arguments shares them."""
+    for the first pass and those after it; and link, zgtsv's sub- and
+    superdiagonal in one row, -i k/dr^2 but for a zero where the two stacked
+    rows meet, so that elimination does not cross from one into the other.
+    The arrays are read-only, because every step with the same arguments
+    shares them."""
     k = dt / 2.0
     kr = k / dr**2
     gain = np.array([[gamma], [-gamma]])
     gmat = np.array([[g1, g], [g, g2]])
     dc = 1.0 - k * gain + 2j * kr
     first, later = k * gmat, 0.5 * k * gmat
-    links = np.full((2, 2 * n - 1), -1j * kr)
-    links[:, n - 1] = 0
-    for arr in (dc, first, later, links):
+    link = np.full(2 * n - 1, -1j * kr)
+    link[n - 1] = 0
+    for arr in (dc, first, later, link):
         arr.flags.writeable = False
-    return dc, 1j * k * kappa, first, later, links
+    return dc, 1j * k * kappa, first, later, link
 
 
 class _Workspace(NamedTuple):
@@ -202,17 +198,15 @@ class _Workspace(NamedTuple):
 
     b: np.ndarray  # (2, n) complex: 2 f0 - i k kappa f0[::-1]
     diag: np.ndarray  # (2, n) complex: i k w, then the diagonal
-    coupling: np.ndarray  # (2, n) complex: i k kappa times the swapped guess
     f2_0: np.ndarray  # (2, n) float: |f0|^2
     f2m: np.ndarray  # (2, n) float: the midpoint |f|^2
     w: np.ndarray  # (2, n) float: k times the frozen nonlinear factor
-    links: np.ndarray  # (2, 2n - 1) complex: the operator's links, for zgtsv to overwrite
+    links: np.ndarray  # (2, 2n - 1) complex: the operator's link twice, for zgtsv to overwrite
 
 
 def _workspace(n: int) -> _Workspace:
-    c = [np.empty((2, n), complex) for _ in range(3)]
-    f = [np.empty((2, n)) for _ in range(3)]
-    return _Workspace(*c, *f, np.empty((2, 2 * n - 1), complex))
+    rows = [np.empty((2, n), kind) for kind in (complex, complex, float, float, float)]
+    return _Workspace(*rows, np.empty((2, 2 * n - 1), complex))
 
 
 def step(
@@ -240,21 +234,24 @@ def step(
     formed once per step, and takes f = z - f0.  That is the same scheme
     with rounding in a different order, and it never applies the Laplacian
     to f0.  A pass forms only w, the diagonal dc - i k w and the guess's
-    coupling term.  dc = 1 - k (gain - 2i/dr^2), i k kappa, k times the
-    coefficient matrix (g1, g; g, g2) and zgtsv's off-diagonals depend
-    only on dt, the grid and the coefficients; they come from _operator,
-    which memoizes its last call, so they are made again only when one of
-    those changes: in a run, when dt halves or the last step is clipped to
-    tMax.  1/r^2 is made once per grid (RadialGrid.inv_r2).
+    coupling term, which it writes into the array that the solve returns
+    the field in and subtracts from b there.  dc = 1 - k (gain - 2i/dr^2),
+    i k kappa, k times the coefficient matrix (g1, g; g, g2) and the one
+    row that is both of zgtsv's off-diagonals depend only on dt, the grid
+    and the coefficients; they come from _operator, which memoizes its
+    last call, so they are made again only when one of those changes: in a
+    run, when dt halves or the last step is clipped to tMax.  1/r^2 is made
+    once per grid (RadialGrid.inv_r2).
 
-    work holds scratch arrays from _workspace(grid.n), which run makes once
-    and passes to every step; with None a fresh set is made.  Each step
-    writes every scratch array before it reads it, and _operator is a pure
-    function of its arguments, so the result does not depend on what work
-    held or on which step came before.  Only each pass's right-hand side is new, because the solve
-    returns the field in it; the returned state shares no memory with work
-    or with state.f.  Overflow raises no warning: the finiteness checks
-    report it as SolverDiverged.
+    work holds scratch arrays from _workspace(grid.n), which _accepted
+    makes once per run and passes to every step; with None a fresh set is
+    made.  Each step writes every scratch array before it reads it, and
+    _operator is a pure function of its arguments, so the result does not
+    depend on what work held or on which step came before.  Only each
+    pass's right-hand side is new, because the solve returns the field in
+    it; the returned state shares no memory with work or with state.f.
+    Overflow raises no warning: the finiteness checks report it as
+    SolverDiverged.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
@@ -264,26 +261,25 @@ def step(
         raise ValueError("cn_iterations must be >= 1")
     grid = state.grid
     work = _workspace(grid.n) if work is None else work
-    dc, ik_kappa, first, later, links = _operator(
+    dc, ik_kappa, first, later, link = _operator(
         grid.n, grid.dr, dt, params.gamma, params.kappa, params.g1, params.g2, params.g)
-    f0, b, coupling, f2_0 = state.f, work.b, work.coupling, work.f2_0
+    f0, b, f2_0, fs = state.f, work.b, work.f2_0, state.f
     with np.errstate(over="ignore", invalid="ignore"):
         f2m = _abs2(f0, out=f2_0, scratch=work.w)
-        # the first pass's coupling term is the f0 half of b's
-        np.multiply(ik_kappa, f0[::-1], out=coupling)
-        np.subtract(np.add(f0, f0, out=b), coupling, out=b)
-        kg = first
         for i in range(cn_iterations):
+            rhs = np.multiply(ik_kappa, fs[::-1])  # the guess's coupling term
             # the midpoint |f|^2 is |f0|^2 on the first pass and
             # (|f0|^2 + |fs|^2)/2 after it; later holds the 1/2
             if i:
                 f2m = np.add(f2_0, _abs2(fs, out=work.f2m, scratch=work.w), out=work.f2m)
                 kg = later
-                np.multiply(ik_kappa, fs[::-1], out=coupling)
+            else:  # the first pass's coupling term is the f0 half of b's
+                np.subtract(np.add(f0, f0, out=b), rhs, out=b)
+                kg = first
             kw = np.matmul(kg, f2m, out=work.w)
             kw *= grid.inv_r2
             diag = np.subtract(dc, np.multiply(1j, kw, out=work.diag), out=work.diag)
-            fs = _tridiag_solve(diag, links, np.subtract(b, coupling), work.links)
+            fs = _tridiag_solve(diag, link, np.subtract(b, rhs, out=rhs), work.links)
             fs -= f0
     if not np.all(np.isfinite(fs.view(float))):
         raise SolverDiverged(f"non-finite field values at t={state.t + dt:g}")
@@ -303,9 +299,9 @@ def _peak(state: RadialState) -> float:
     return np.max(np.abs(state.f))
 
 
-def _accepted(state: RadialState, params: SystemParams, cfg: RunConfig, work: _Workspace):
-    """Each accepted state after state, in order, from steps taken with the
-    scratch arrays work: the one accept/reject loop.
+def _accepted(state: RadialState, params: SystemParams, cfg: RunConfig):
+    """Each accepted state after state, in order: the one accept/reject
+    loop, whose steps share one set of scratch arrays.
 
     A step whose field peak max(|p|, |q|) grows by more than 5% is retried
     from the same state with dt halved, down to cfg.dtMin, and the halved
@@ -317,6 +313,7 @@ def _accepted(state: RadialState, params: SystemParams, cfg: RunConfig, work: _W
     """
     peak = max(_peak(state), 1e-300)
     dt = cfg.dt0
+    work = _workspace(state.grid.n)
     while state.t < cfg.tMax:
         rest = cfg.tMax - state.t
         last = rest <= dt * (1.0 + _RESIDUE)
@@ -360,14 +357,14 @@ def run(
     """Evolve until blowup-like growth, the time horizon, or divergence.
 
     The states come from _accepted, which rejects a step whose peak grows
-    by more than 5%, halves dt and stops at cfg.tMax.  Accepted steps are
-    counted and sampled every cfg.sampleEvery until an origin amplitude
+    by more than 5%, halves dt and stops at cfg.tMax.  Every
+    cfg.sampleEvery-th accepted step is sampled until an origin amplitude
     ratio first crosses cfg.blowupRatio.  A short grace phase follows,
     because collapsing components cross at slightly staggered times: its
-    steps are neither counted nor sampled, and it ends when the smaller
-    ratio stops growing, when both ratios have crossed, or when one
-    reaches 2 * cfg.blowupRatio.  The component flag (U, V or Both) thus
-    reflects joint growth rather than the tie-break of a single step.
+    steps are not sampled, and it ends when the smaller ratio stops
+    growing, when both ratios have crossed, or when one reaches
+    2 * cfg.blowupRatio.  The component flag (U, V or Both) thus reflects
+    joint growth rather than the tie-break of a single step.
     Divergence (a SolverDiverged step or a non-finite peak) ends a run as
     SolverDiverged before the crossing and ends the grace phase after it.
     A run whose t = 0 diagnostics are not finite raises OverflowError.
@@ -385,12 +382,10 @@ def run(
     bad = [c for c, v in samples[0].items() if not math.isfinite(v)]
     if bad:
         raise OverflowError(f"t = 0 diagnostics not finite: {', '.join(bad)}")
-    steps = 0
     lag = ratios = None  # lag: the smaller origin ratio, once one ratio has crossed
-    for state in _accepted(state, params, cfg, _workspace(grid.n)):
+    for steps, state in enumerate(_accepted(state, params, cfg), 1):
         ratios = np.divide(_origin_amp(state), origin, out=np.zeros(2), where=origin > 0)
         if lag is None:
-            steps += 1
             if steps % cfg.sampleEvery == 0:
                 samples.append(grid_functionals(state, params))
             if max(ratios) < cfg.blowupRatio:

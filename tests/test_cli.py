@@ -949,12 +949,16 @@ _ANY_FLOAT = st.one_of(st.floats(0.05, 6), st.floats(-6, 6),
                        st.sampled_from(_EXTREMES), st.floats())
 
 
+_SMALL_RUN = dict(t_max=0.01, steps=10.0, halvings=16.0, n=31, sample_every=50,
+                  cn_iterations=2, dim=3)
+
+
 # No example can run long: grid.n <= 127, run.cn_iterations <= 3,
 # run.t_max <= 0.5 (or one of _EXTREMES), run.t_max/run.dt0 <= 40 and
 # run.dt0/run.dt_min <= 16.  dt never grows, so a run takes at most
 # t_max/dt_min <= 640 accepted steps plus four rejections, whatever t_max is.
 # A ratio t_max/dt0 below 1 gives one step, clipped to the horizon.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme inputs overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no config, however extreme, warns
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(
     values=st.dictionaries(st.sampled_from(_SIMULATE_FREE_KEYS), _ANY_FLOAT, max_size=3),
@@ -966,6 +970,12 @@ _ANY_FLOAT = st.one_of(st.floats(0.05, 6), st.floats(-6, 6),
     cn_iterations=st.integers(1, 3),
     dim=st.sampled_from([3] * 5 + [1, 4, 10**400]),
 )
+# r^2 overflows in the profile and in 1/r^2; r^2 underflows in 1/r^2; a width^2
+# underflows in the profile; a width^2 overflows a float (exit 3, naming widthV)
+@example(values={"grid.L": 1e300}, **_SMALL_RUN)
+@example(values={"grid.L": 1e-300}, **_SMALL_RUN)
+@example(values={"ic.a": 1e-200}, **_SMALL_RUN)
+@example(values={"ic.b": 1e200}, **_SMALL_RUN)
 def test_simulate_exits_with_a_documented_code(values, t_max, steps, halvings, n,
                                                sample_every, cn_iterations, dim):
     dt0 = t_max / steps

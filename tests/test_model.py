@@ -164,6 +164,18 @@ class TestEvaluateIC:
         norm2, _ = quad(integrand, 0, 20)
         assert norm2 == pytest.approx(ic.ampU**2, rel=1e-8)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_squares_out_of_range_give_the_limit_without_a_warning(self):
+        # r^2 overflows for v; widthU^2 underflows to 0 for u
+        u0, v0 = evaluate_ic(GaussianIC(1.0, 1.0, 1e-200, 1.0), params(), [1.0, 1e300])
+        assert np.array_equal(u0, [0, 0]) and v0[1] == 0 and v0[0] > 0
+
+    def test_width_overflow_names_the_width(self):
+        with pytest.raises(OverflowError, match=r"widthV = 1e\+200"):
+            evaluate_ic(GaussianIC(1.0, 1.0, 1.0, 1e200), params(), 1.0)
+        with pytest.raises(OverflowError, match=r"widthU = 1e-250"):
+            evaluate_ic(GaussianIC(1.0, 1.0, 1e-250, 1.0), params(), 1.0)
+
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             evaluate_ic(GaussianIC(1, 1, 1, 1), params(), -0.1)

@@ -56,6 +56,12 @@ class TestTypes:
         assert grid.nodes is grid.nodes and grid.inv_r2 is grid.inv_r2
         assert np.array_equal(grid.inv_r2, 1.0 / grid.nodes**2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inv_r2_out_of_range_without_a_warning(self):
+        # r^2 underflows to 0 on a tiny grid and overflows on a huge one
+        assert np.all(RadialGrid(1e-300, 31).inv_r2 == math.inf)
+        assert np.all(RadialGrid(1e300, 31).inv_r2 == 0)
+
     def test_state_shape_validation(self):
         grid = RadialGrid(8.0, 63)
         for shape in ((63,), (2, 62), (2, 64), (3, 63)):
@@ -254,21 +260,22 @@ class TestTridiagSolve:
             solve_banded((1, 1), np.array([np.r_[0, band], d, np.r_[band, 0]]), b)
             for d, b in zip(diag, rhs)
         ]
-        # both rows stacked as one system, with no link where they meet
-        links = np.full((2, 2 * n - 1), off)
-        links[:, n - 1] = 0
-        kept = links.copy()
-        got = _tridiag_solve(diag.copy(), links, rhs.copy(), np.empty((2, 2 * n - 1), complex))
+        # both rows stacked as one system, with no link where they meet;
+        # one row serves as the sub- and the superdiagonal
+        link = np.full(2 * n - 1, off)
+        link[n - 1] = 0
+        kept = link.copy()
+        got = _tridiag_solve(diag.copy(), link, rhs.copy(), np.empty((2, 2 * n - 1), complex))
         assert got.shape == (2, n)
         # a link between the rows would couple them and change both
         for row, ref in zip(got, expected):
             assert np.array_equal(row, ref)
-        # the off-diagonals are copied for zgtsv to overwrite, not overwritten
-        assert np.array_equal(links, kept)
+        # the off-diagonal is copied for zgtsv to overwrite, not overwritten
+        assert np.array_equal(link, kept)
 
     def test_singular_matrix_is_divergence(self):
         with pytest.raises(SolverDiverged):
-            _tridiag_solve(np.zeros((2, 17), complex), np.zeros((2, 33), complex),
+            _tridiag_solve(np.zeros((2, 17), complex), np.zeros(33, complex),
                            np.ones((2, 17), complex), np.empty((2, 33), complex))
 
 
@@ -292,7 +299,7 @@ class TestSolverLoad:
 
 
 class TestWorkspace:
-    """run hands every step one set of scratch arrays; what they hold from
+    """_accepted hands every step one set of scratch arrays; what they hold from
     earlier steps must not reach the answer, and no answer may live in them."""
 
     GRID = RadialGrid(8.0, 63)
@@ -349,9 +356,9 @@ class TestWorkspace:
         p, st = self.states()
         work = _workspace(self.GRID.n)
         new = step(st, p, 1e-3, work=work)
-        dc, _, first, later, links = _operator(
+        dc, _, first, later, link = _operator(
             self.GRID.n, self.GRID.dr, 1e-3, p.gamma, p.kappa, p.g1, p.g2, p.g)
-        for arr in (*work, dc, first, later, links, st.f):
+        for arr in (*work, dc, first, later, link, st.f):
             assert not np.shares_memory(new.f, arr)
         # the next step overwrites the workspace and leaves new as it was
         kept = new.f.copy()
@@ -361,9 +368,13 @@ class TestWorkspace:
     def test_operator_arrays_are_read_only(self):
         # every step with the same dt, grid and coefficients shares them
         p, _ = self.states()
-        dc, _, first, later, links = _operator(
-            self.GRID.n, self.GRID.dr, 1e-3, p.gamma, p.kappa, p.g1, p.g2, p.g)
-        for arr in (dc, first, later, links):
+        n = self.GRID.n
+        dc, _, first, later, link = _operator(
+            n, self.GRID.dr, 1e-3, p.gamma, p.kappa, p.g1, p.g2, p.g)
+        # one row is both off-diagonals, with no link where the rows meet
+        assert link.shape == (2 * n - 1,) and link[n - 1] == 0
+        assert np.all(link[np.arange(2 * n - 1) != n - 1] == link[0])
+        for arr in (dc, first, later, link):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
 
@@ -539,10 +550,10 @@ class TestRun:
         dt = cfg.dt0
 
         def stream(state):
-            return list(_accepted(state, p, cfg, _workspace(state.grid.n)))
+            return list(_accepted(state, p, cfg))
 
         # clear of the horizon: one whole step of dt
-        far = next(_accepted(st0, p, cfg, _workspace(st0.grid.n)))
+        far = next(_accepted(st0, p, cfg))
         want = step(st0, p, dt, cfg.cnIterations)
         assert far.t == dt
         assert np.array_equal(far.f, want.f)
