@@ -25,7 +25,6 @@ from .functionals import (
     InitialFunctionals,
     gaussian_moments,
     grid_functionals,
-    s0_upper_bound,
 )
 from .criteria import (
     CriterionConstants,
@@ -43,6 +42,7 @@ from .criteria import (
     lemma2_threshold,
     manakov_F,
     manakov_invariants,
+    s0_upper_bound,
 )
 from .simulator import (
     DEFAULT_GRID,

@@ -1,17 +1,18 @@
 """Sufficient blowup conditions.
 
 Covers the main finite-horizon check (the F/M/G conjunction), the two
-threshold lemmas, the early-collapse bound Z(t) with its constant c4, and
-the Manakov-case variants with the extra integrals of motion.
+threshold lemmas, the early-collapse bound Z(t) with its constant c4, the
+Manakov-case variants with the extra integrals of motion, and the gain
+envelopes of S0 and E.
 
 Three rules are each written once.  One door: every public bound
 (F_function, M_function, G_function, early_collapse_Z, manakov_F,
-energy_growth_bound) checks its regime, if any, and passes its closed
-form and t to _door, which raises ValueError unless every t is finite
-and >= 0, returns a float for a scalar t, and lets overflow give inf
-without a warning.  One finiteness check: _finite raises OverflowError where a
-record of constants or coefficients is made with an entry that is not
-finite.  One lemma body: _lemma, for both threshold lemmas.
+s0_upper_bound, energy_growth_bound) checks its regime, if any, and passes
+its closed form and t to _door, which raises ValueError unless every t is
+finite and >= 0, returns a float for a scalar t, and lets overflow give
+inf without a warning.  One finiteness check: _finite raises OverflowError
+where a record of constants or coefficients is made with an entry that is
+not finite.  One lemma body: _lemma, for both threshold lemmas.
 
 The closed forms (_width for F and F-hat, _M, _G, _Z) take coefficients
 computed beforehand and a float or array t, and check nothing.  A check
@@ -408,15 +409,23 @@ def lemma2_threshold(initial: InitialFunctionals, params: SystemParams) -> dict:
         lambda m_tilde, t0_min: 8 * kappa * initial.s0 / gamma - m_tilde / t0_min)
 
 
+def _growth(v0, slope, gamma, t):
+    """(v0 + slope t) exp(2 gamma t) at an array t, unchecked: the gain
+    envelope of S0 and of E.  0 where v0 + slope t = 0, not 0 * inf once exp
+    overflows."""
+    val = np.array(v0 + slope * t)
+    return np.multiply(val, np.exp(2 * gamma * t), out=val, where=val != 0)
+
+
+def s0_upper_bound(initial: InitialFunctionals, params: SystemParams, t):
+    """S0(0) exp(2 gamma t), from the balance law dS0/dt = 2 gamma S3."""
+    return _door(partial(_growth, initial.s0, 0.0, params.gamma), t)
+
+
 def energy_growth_bound(initial: InitialFunctionals, params: SystemParams, t):
     """E_max(t) = (E(0) + 2 kappa gamma S0(0) t) exp(2 gamma t)."""
-    E0, slope = initial.energy, 2 * params.kappa * params.gamma * initial.s0
-
-    def bound(t):  # 0 where E0 + slope t = 0, not 0 * inf once exp overflows
-        val = np.array(E0 + slope * t)
-        return np.multiply(val, np.exp(2 * params.gamma * t), out=val, where=val != 0)
-
-    return _door(bound, t)
+    return _door(partial(_growth, initial.energy,
+                         2 * params.kappa * params.gamma * initial.s0, params.gamma), t)
 
 
 class _ZTerms(NamedTuple):

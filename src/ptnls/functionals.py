@@ -35,11 +35,8 @@ class InitialFunctionals:
     crossQuartic: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (
-                self.s0, self.s1, self.s2, self.s3, self.energy, self.msw,
-                self.mswRate, self.gradU2, self.gradV2, self.quarticU,
-                self.quarticV, self.crossQuartic))):
-            bad = [name for name, value in vars(self).items() if not math.isfinite(value)]
+        bad = [name for name, value in vars(self).items() if not math.isfinite(value)]
+        if bad:
             raise ValueError(f"functionals not finite: {', '.join(bad)}")
         if not (self.msw >= 0 and self.s0 >= 0):
             raise ValueError(f"X0 and S0 must be >= 0, got {self.msw}, {self.s0}")
@@ -177,15 +174,3 @@ def grid_functionals(state, params: SystemParams) -> dict:
             "originV": origin_v,
         }
 
-
-def s0_upper_bound(initial: InitialFunctionals, params: SystemParams, t: float) -> float:
-    """Upper bound S0(0) * exp(2*gamma*t) for the total power at time t >= 0:
-    inf where the exponential overflows, and 0 when S0(0) = 0."""
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and >= 0")
-    if not initial.s0:
-        return 0.0
-    try:
-        return initial.s0 * math.exp(2 * params.gamma * t)
-    except OverflowError:
-        return math.inf

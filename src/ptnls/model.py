@@ -73,8 +73,8 @@ class GaussianIC:
     widthV: float = 1.0
 
     def __post_init__(self):
-        for name in ("ampU", "ampV", "widthU", "widthV"):
-            if not 0 < getattr(self, name) < math.inf:
+        for name, value in vars(self).items():
+            if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
 
 

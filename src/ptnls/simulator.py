@@ -292,11 +292,14 @@ _RESIDUE = 1e-6
 
 
 def _origin_amp(state: RadialState) -> np.ndarray:
-    return np.abs(state.f[:, 0]) / state.grid.dr
+    """|u| and |v| at the first node r1, next to the axis: |p| / r1, |q| / r1."""
+    return np.abs(state.f[:, 0]) / state.grid.nodes[0]
 
 
 def _peak(state: RadialState) -> float:
-    return np.max(np.abs(state.f))
+    """The field peak max(|p|, |q|), floored at 1e-300 so that a growth ratio
+    never divides by 0; nan and inf pass through."""
+    return max(np.max(np.abs(state.f)), 1e-300)
 
 
 def _accepted(state: RadialState, params: SystemParams, cfg: RunConfig):
@@ -311,7 +314,7 @@ def _accepted(state: RadialState, params: SystemParams, cfg: RunConfig):
     a residue short of it or one full step past it.  A step that raises
     SolverDiverged or gives a peak that is not finite ends it short of tMax.
     """
-    peak = max(_peak(state), 1e-300)
+    peak = _peak(state)
     dt = cfg.dt0
     work = _workspace(state.grid.n)
     while state.t < cfg.tMax:
@@ -327,7 +330,7 @@ def _accepted(state: RadialState, params: SystemParams, cfg: RunConfig):
         if new_peak / peak - 1.0 > 0.05 and dt / 2 >= cfg.dtMin:
             dt /= 2
             continue
-        state, peak = replace(new, t=cfg.tMax) if last else new, max(new_peak, 1e-300)
+        state, peak = replace(new, t=cfg.tMax) if last else new, new_peak
         yield state
 
 

@@ -405,6 +405,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run", boom)
         assert run_job(spec) == EXIT_SOLVER
 
+    def test_diverged_outcome_exits_4(self, tmp_path, monkeypatch, capsys):
+        # run reports divergence in its outcome; run_job maps that to exit 4
+        spec = parse_config(FAST_SIM, "simulate", tmp_path)
+        outcome = run(spec.ic, spec.params, spec.grid, spec.runConfig)
+        diverged = replace(outcome, verdict="SolverDiverged", tStop=0.0125)
+        monkeypatch.setattr(cli, "run", lambda *args: diverged)
+        assert run_job(spec) == EXIT_SOLVER
+        assert "verdict = SolverDiverged\n" in (tmp_path / "outcome.txt").read_text()
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: run diverged at t=0\.0125\n", err), err
+
 
 class TestInputErrors:
     """Every input ends in a result or a documented exit code."""
@@ -418,6 +429,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("line", [
         "params.g1 = nan", "run.t_max = inf", "grid.L = inf",
         "criteria.horizon = -inf", "sweep.values = 1,nan",
+        "params.g1 =",  # an empty value
     ])
     def test_non_finite_rejected_at_parse(self, tmp_path, line):
         with pytest.raises(ParseError):
@@ -434,8 +446,9 @@ class TestInputErrors:
         ("criteria", "params.g1 = 1e308\nparams.g2 = -1e308\n"
                      "params.g = -1e308\nic.A = 1e3\n"),
         ("criteria", "params.g1 = 1e308\nparams.g2 = 1e308\nparams.g = 1e308\n"),
+        ("figure", MINIMAL),  # ValidationError: no figure.id
     ], ids=["dim=4", "sim-A=1e80", "A=1e300", "a=1e-300", "gamma=1e-320", "E0=nan",
-            "c3=inf"])
+            "c3=inf", "no-figure-id"])
     def test_library_errors_mapped_to_validation(self, tmp_path, mode, text):
         assert self._main(tmp_path, mode, text) == EXIT_VALIDATION
 

@@ -33,6 +33,7 @@ from ptnls import (
     lemma2_threshold,
     manakov_F,
     manakov_invariants,
+    s0_upper_bound,
 )
 
 
@@ -73,6 +74,8 @@ class TestConstants:
     def test_dim_restriction(self):
         with pytest.raises(RegimeViolation):
             constants(params(dim=2))
+        with pytest.raises(RegimeViolation, match="gamma > 0"):
+            constants(params(gamma=0.0))
 
     def test_dimension_dependence(self):
         cc = constants(params(gamma=1.0, kappa=2.0, dim=5))
@@ -189,6 +192,9 @@ class TestFMG:
     def test_G_requires_focusing(self):
         with pytest.raises(RegimeViolation):
             G_function(make_initial(), params(g2=-1.0, g=-0.5), 0.1)
+        for bound in (F_function, M_function):  # F divides by gamma
+            with pytest.raises(RegimeViolation, match="F is defined for gamma > 0"):
+                bound(make_initial(), params(gamma=0.0), 0.1)
 
 
 class TestTheorem1:
@@ -677,6 +683,7 @@ _BOUNDS = {
     "G_function": (G_function, params()),
     "early_collapse_Z": (early_collapse_Z, params(g1=4.0, g2=-1.0, g=-0.5)),
     "manakov_F": (manakov_F, params()),
+    "s0_upper_bound": (s0_upper_bound, params()),
     "energy_growth_bound": (energy_growth_bound, params()),
 }
 
