@@ -232,9 +232,7 @@ def read_csv(path: Path):
     """Reload a CSV written by write_csv: (header, dict of float columns)."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        return header, {h: np.empty(0) for h in header}
+        data = np.array([line.split(",") for line in fh], dtype=float).reshape(-1, len(header))
     return header, {h: data[:, i] for i, h in enumerate(header)}
 
 

@@ -10,16 +10,21 @@ pass needs that depends only on dt, the grid and the coefficients comes
 from _operator, which memoizes its last call, so it is made again only
 when one of them changes.
 
-zgtsv is loaded at the first solve, not with this module, and from scipy's
-LAPACK extension alone (_zgtsv): importing scipy.linalg would bring about
-300 more modules and take about 0.2 s, and the closed-form criteria never
-solve, so `import ptnls` and a `ptnls criteria` job load nothing of scipy
-(README, "Install and test", quotes the measured start-up times).
-convergence_check and a simulate sweep load the solver before they start a
-worker pool, so workers forked from a parent that has not solved yet
-inherit it rather than each loading it again; a spawn or forkserver worker
-loads it itself at its first solve.  ProcessPoolExecutor, which brings
-multiprocessing and socket, is likewise imported at the first pool.
+zgtsv is bound at the first solve, not with this module (_zgtsv), and
+first from the LAPACK that numpy has already loaded, so that a solving
+process maps one OpenBLAS and loads nothing of scipy: a one-step simulate
+on 999 nodes peaks at 30.8 MB against 33.4 MB with scipy's extension.
+Where numpy does not export the routine, the fallback is scipy's LAPACK
+extension alone: importing scipy.linalg would bring about 300 more modules
+and take about 0.2 s, and the closed-form criteria never solve, so
+`import ptnls` and a `ptnls criteria` job load nothing of scipy (README,
+"Install and test", quotes the measured numbers).  convergence_check and a
+simulate sweep bind the solver before they start a worker pool, so workers
+forked from a parent that has not solved yet inherit it rather than each
+loading it again, which saves each 5-10 ms on the fallback path and about
+0.1 ms on numpy's; a spawn or forkserver worker binds it itself at its
+first solve.  ProcessPoolExecutor, which brings multiprocessing and
+socket, is likewise imported at the first pool.
 """
 
 from __future__ import annotations
@@ -136,20 +141,54 @@ def load_initial(ic: GaussianIC, grid: RadialGrid, params: SystemParams) -> Radi
 
 @cache
 def _zgtsv():
-    """LAPACK's zgtsv, loaded at the first call from the one extension that
-    defines it, scipy.linalg._flapack, without importing scipy or
-    scipy.linalg; ImportError naming that extension if it is not there.
-    It is the object scipy.linalg.lapack.zgtsv names, whichever of the two
-    loads first: the extension is initialized once per process."""
-    scipy = importlib.util.find_spec("scipy")
-    dirs = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations] if scipy else []
-    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", dirs)
-    if spec is None:
-        raise ImportError("zgtsv needs scipy.linalg._flapack, which was not found",
-                          name="scipy.linalg._flapack")
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.zgtsv
+    """LAPACK's zgtsv, bound at the first call, as zgtsv(dl, d, du, b,
+    overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1), which
+    solves in place and returns (dl, d, du, x, info), x in b's memory.
+
+    It is numpy's own LAPACK where that exports the routine: the standard
+    numpy wheels bundle scipy-openblas64, and the handle of
+    numpy.linalg._umath_linalg resolves its ILP64 symbol scipy_zgtsv_64_,
+    which ctypes calls with 64-bit integers.  That binding checks what
+    f2py's wrapper checks: complex128 operands of shapes (n - 1,), (n,),
+    (n - 1,) and (n,) with n >= 2, and every overwrite flag true;
+    c_char.from_buffer, the cheapest way to take their addresses, raises
+    TypeError unless each is writable and C-contiguous.  Every call makes
+    its own ctypes objects, because ctypes releases the GIL and two threads
+    may solve at once.  Where the symbol does not resolve (conda or
+    Accelerate builds of numpy, or Windows; none was tried), it is
+    scipy.linalg._flapack.zgtsv, loaded without importing scipy or
+    scipy.linalg, and the object scipy.linalg.lapack.zgtsv names, whichever
+    of the two loads first.  ImportError naming both if neither is there."""
+    try:
+        import ctypes
+        from numpy.linalg import _umath_linalg
+        solve = ctypes.CDLL(_umath_linalg.__file__).scipy_zgtsv_64_
+    except (ImportError, OSError, AttributeError):
+        pkg = importlib.util.find_spec("scipy")
+        dirs = [os.path.join(d, "linalg") for d in getattr(pkg, "submodule_search_locations", [])]
+        spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", dirs)
+        if spec is None:
+            raise ImportError("zgtsv needs numpy's scipy_zgtsv_64_ or scipy.linalg._flapack, "
+                              "and neither was found", name="scipy.linalg._flapack") from None
+        flapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+        return flapack.zgtsv
+    # every argument is a byref, which ctypes passes as the pointer it is;
+    # declaring argtypes would cost about 1 us a call to convert them again
+    solve.restype = None
+    i64, ref, ptr = ctypes.c_int64, ctypes.byref, ctypes.c_char.from_buffer
+
+    def zgtsv(dl, d, du, b, overwrite_dl=0, overwrite_d=0, overwrite_du=0, overwrite_b=0):
+        n = d.size
+        if not (overwrite_dl and overwrite_d and overwrite_du and overwrite_b
+                and dl.dtype == d.dtype == du.dtype == b.dtype == complex
+                and dl.shape == du.shape == (n - 1,) and d.shape == b.shape == (n,)):
+            raise ValueError("zgtsv solves in place, on complex128 of shapes n-1, n, n-1, n")
+        n_, info = ref(i64(n)), i64()  # from_buffer raises unless writable and contiguous
+        solve(n_, ref(i64(1)), ref(ptr(dl)), ref(ptr(d)), ref(ptr(du)), ref(ptr(b)), n_, ref(info))
+        return dl, d, du, b, info.value
+
+    return zgtsv
 
 
 def _tridiag_solve(diag, link, rhs, scratch):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import ctypes
 import math
 import multiprocessing
 import os
@@ -181,12 +182,14 @@ class TestParseConfig:
 class TestCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "x.csv"
-        cols = [np.array([0.0, 0.1, 0.2]), np.array([1.0, -2.5, 3.25e-17])]
-        write_csv(path, ["t", "val"], cols)
-        header, data = read_csv(path)
-        assert header == ["t", "val"]
-        assert np.allclose(data["t"], cols[0], rtol=1e-12)
-        assert np.allclose(data["val"], cols[1], rtol=1e-11)
+        for cols in ([np.array([0.0, 0.1, 0.2]), np.array([1.0, -2.5, 3.25e-17])],
+                     [np.empty(0), np.empty(0)]):  # the header alone
+            write_csv(path, ["t", "val"], cols)
+            header, data = read_csv(path)
+            assert header == ["t", "val"]
+            assert data["t"].shape == data["val"].shape == cols[0].shape
+            assert np.allclose(data["t"], cols[0], rtol=1e-12)
+            assert np.allclose(data["val"], cols[1], rtol=1e-11)
 
     def test_rectangular(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -601,11 +604,16 @@ class TestSweepPool:
         (2, 8, 2),
         (3, 1, None),  # one core: serial
         (1, 8, None),
+        (3, None, None),  # no sched_getaffinity and no CPU count: one core
     ])
     def test_pool_size_is_capped(self, tmp_path, monkeypatch, workers, cores, size):
         sizes = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(sizes, []))
-        monkeypatch.setattr(simulator, "_cores", lambda: cores)
+        if cores is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(simulator, "_cores", lambda: cores)
         spec = parse_config(CRITERIA_SWEEP, "sweep", tmp_path)
         assert run_job(spec, workers=workers) == EXIT_OK
         assert sizes == ([] if size is None else [size])
@@ -750,12 +758,46 @@ def _fresh(code: str) -> str:
     return done.stdout
 
 
+def _numpy_exports_zgtsv() -> bool:
+    """Whether numpy's LAPACK exports zgtsv as the simulator binds it."""
+    from numpy.linalg import _umath_linalg
+    return hasattr(ctypes.CDLL(_umath_linalg.__file__), "scipy_zgtsv_64_")
+
+
+# the first lines of a fresh interpreter that binds the solver with numpy's
+# symbol visible or hidden; zgtsv is the binding, sys and np are imported
+_BIND = """
+import ctypes, sys
+import numpy as np
+from ptnls import simulator
+cdll = ctypes.CDLL
+if {hide}:
+    ctypes.CDLL = lambda path: object()
+zgtsv = simulator._zgtsv()
+ctypes.CDLL = cdll
+"""
+
+# prints whether scipy's zgtsv gives the bits of the bound one on a small
+# tridiagonal system, and whether scipy.linalg solves
+_SOLVES = """
+import scipy.linalg, scipy.linalg.lapack
+ops = [np.array(v, complex) for v in ([1, 2j], [4, 5, 6 + 1j], [1j, 3], [1, 2, 3])]
+ours, theirs = (f(*(o.copy() for o in ops), overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                  overwrite_b=1) for f in (zgtsv, scipy.linalg.lapack.zgtsv))
+print(np.array_equal(ours[3], theirs[3]) and ours[4] == theirs[4] == 0)
+a = np.array([[4.0, 1.0], [1.0, 3.0]])
+print(np.allclose(scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), [1.0, 2.0]),
+                  scipy.linalg.solve(a, [1.0, 2.0])))
+"""
+
+
 class TestScipyLoad:
-    """The solver, zgtsv from scipy's LAPACK extension, loads at the first
-    solve and brings neither scipy nor scipy.linalg; a pool whose workers
-    solve loads it before it forks."""
+    """The solver, zgtsv from numpy's LAPACK or else from scipy's LAPACK
+    extension, binds at the first solve and brings neither scipy nor
+    scipy.linalg; a pool whose workers solve binds it before it forks."""
 
     def test_only_a_solve_loads_scipy(self, tmp_path):
+        # and only where numpy's LAPACK does not export zgtsv
         fig1a = "".join(f"{k} = {v}\n" for k, v in cli._FIG1_BASE.items())
         (tmp_path / "fig1a.cfg").write_text(fig1a)
         one_step = FAST_SIM.replace("run.t_max = 0.05", "run.t_max = 1e-3")  # = dt0
@@ -775,34 +817,30 @@ code = ptnls.cli.main(["simulate", "--config", {str(tmp_path / "step.cfg")!r},
                        "--out", {str(tmp_path / "sim")!r}])
 print(code, loaded())
 """)
+        scipy = [] if _numpy_exports_zgtsv() else ["scipy.linalg._flapack"]
         assert out.split("\n") == ["(0, [])", f"{EXIT_OK} (0, [])",
-                                    f"{EXIT_OK} (1, ['scipy.linalg._flapack'])", ""]
+                                    f"{EXIT_OK} (1, {scipy})", ""]
         assert (tmp_path / "crit" / "report.txt").exists()
         _, data = read_csv(tmp_path / "sim" / "trace.csv")
         assert data["t"].tolist() == [0.0, 1e-3]
 
-    def test_solver_first_is_scipys_routine(self):
-        out = _fresh("""
-import sys
-import numpy as np
-from ptnls import simulator
-zgtsv = simulator._zgtsv()
+    @pytest.mark.parametrize("hide", [False, True], ids=["numpy-visible", "numpy-hidden"])
+    def test_solver_first_then_scipy_linalg_solves(self, hide):
+        out = _fresh(_BIND.format(hide=hide) + """
 print("scipy" in sys.modules, "scipy.linalg" in sys.modules)
-import scipy.linalg, scipy.linalg.lapack
+""" + _SOLVES + """
 print(zgtsv is scipy.linalg.lapack.zgtsv)
-a = np.array([[4.0, 1.0], [1.0, 3.0]])
-print(np.allclose(scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), [1.0, 2.0]),
-                  scipy.linalg.solve(a, [1.0, 2.0])))
 """)
-        assert out == "False False\nTrue\nTrue\n"
+        scipys = hide or not _numpy_exports_zgtsv()
+        assert out == f"False False\nTrue\nTrue\n{scipys}\n"
 
-    def test_scipy_linalg_first_is_the_same_routine(self):
-        out = _fresh("""
-import scipy.linalg.lapack
-from ptnls import simulator
-print(simulator._zgtsv() is scipy.linalg.lapack.zgtsv)
+    @pytest.mark.parametrize("hide", [False, True], ids=["numpy-visible", "numpy-hidden"])
+    def test_scipy_linalg_first_then_the_solver(self, hide):
+        out = _fresh("import scipy.linalg.lapack\n" + _BIND.format(hide=hide) + _SOLVES + """
+print(zgtsv is scipy.linalg.lapack.zgtsv)
 """)
-        assert out == "True\n"
+        scipys = hide or not _numpy_exports_zgtsv()
+        assert out == f"True\nTrue\n{scipys}\n"
 
     @pytest.mark.skipif(simulator._cores() < 2 or multiprocessing.get_start_method() != "fork",
                         reason="needs two cores and forked workers")

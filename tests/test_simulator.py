@@ -1,11 +1,15 @@
+import ctypes
 import importlib.machinery
 import math
+import sys
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
+import scipy.linalg.lapack
 from scipy.linalg import expm, solve_banded
 
 from ptnls import (
@@ -279,23 +283,135 @@ class TestTridiagSolve:
                            np.ones((2, 17), complex), np.empty((2, 33), complex))
 
 
-class TestSolverLoad:
-    """A missing LAPACK extension is named; TestScipyLoad in test_cli.py
-    checks what the solver loads in a fresh interpreter."""
+def _no_symbols(path):
+    """A stand-in for ctypes.CDLL whose handle resolves no symbol, as on a
+    numpy that does not export zgtsv."""
+    return SimpleNamespace()
 
-    def test_missing_extension_is_named(self, monkeypatch):
+
+@pytest.fixture
+def bind(monkeypatch):
+    """bind(numpy) is what _zgtsv binds with numpy's symbol visible (True)
+    or hidden (False); the cached binding is the usual one afterwards."""
+
+    def bound(numpy: bool):
         _zgtsv.cache_clear()
-        try:
-            monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
-                                lambda *args, **kwargs: None)
-            with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as err:
-                _zgtsv()
-            assert err.value.name == "scipy.linalg._flapack"
-        finally:
-            monkeypatch.undo()
-            _zgtsv.cache_clear()
-            _zgtsv()
+        with monkeypatch.context() as m:
+            if not numpy:
+                m.setattr(ctypes, "CDLL", _no_symbols)
+            return _zgtsv()
+
+    yield bound
+    _zgtsv.cache_clear()
+    _zgtsv()
+
+
+def _lapack_build() -> dict:
+    return np.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
+
+
+class TestSolverLoad:
+    """Which zgtsv binds: numpy's LAPACK first, scipy's extension where numpy
+    does not export the routine; TestScipyLoad in test_cli.py checks what
+    the solver loads in a fresh interpreter."""
+
+    def test_missing_extension_is_named(self, bind, monkeypatch):
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            lambda *args, **kwargs: None)
+        with pytest.raises(ImportError, match=r"scipy_zgtsv_64_.*scipy\.linalg\._flapack") as err:
+            bind(numpy=False)
+        assert err.value.name == "scipy.linalg._flapack"
+        monkeypatch.undo()
+        assert bind(numpy=False) is scipy.linalg.lapack.zgtsv
+
+    def test_hidden_numpy_symbol_binds_scipy(self, bind):
+        assert bind(numpy=False) is scipy.linalg.lapack.zgtsv
         assert _zgtsv.cache_info().currsize == 1
+
+    @pytest.mark.skipif(
+        _lapack_build().get("name") != "scipy-openblas"
+        or "USE64BITINT" not in _lapack_build().get("openblas configuration", ""),
+        reason="numpy is not built on scipy-openblas64")
+    def test_standard_wheel_binds_numpy(self, bind):
+        # the standard numpy wheels bundle scipy-openblas64, which exports
+        # scipy_zgtsv_64_; falling back to scipy here would load a second
+        # OpenBLAS, silently
+        assert bind(numpy=True) is not scipy.linalg.lapack.zgtsv
+
+
+def _system(rng, n, diag, off):
+    """A random tridiagonal system of size n: dl, d, du and b, with d about
+    diag and the off-diagonals about off in size."""
+    def noise(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    return off * noise(n - 1), diag + noise(n), off * noise(n - 1), noise(n)
+
+
+def _solved(zgtsv, system):
+    """Every output of zgtsv on copies of the system: dl, d, du, x, info."""
+    return zgtsv(*(a.copy() for a in system),
+                 overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+
+
+class TestTwoBindings:
+    """numpy's and scipy's zgtsv give the same bits; numpy's solves from two
+    threads at once as it does from one."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_binds(self, bind):
+        if bind(numpy=True) is bind(numpy=False):
+            pytest.skip("numpy does not export zgtsv here")
+
+    def _stacked(self, rng):
+        # two diagonally dominant rows of 101, stacked as in TestTridiagSolve
+        dl, d, du, b = _system(rng, 202, 6.0, 0.7)
+        dl[100] = du[100] = 0
+        return dl, d, du, b
+
+    def _pivoting(self, rng):
+        # |dl| > |d|, so that zgtsv interchanges rows
+        return _system(rng, 301, 0.0, 5.0)
+
+    def _singular(self, rng):
+        # test_singular_matrix_is_divergence's system
+        return (np.zeros(33, complex), np.zeros(34, complex), np.zeros(33, complex),
+                np.ones(34, complex))
+
+    @pytest.mark.parametrize("system", ["_stacked", "_pivoting", "_singular"])
+    def test_bit_identical(self, bind, system):
+        made = getattr(self, system)(np.random.default_rng(7))
+        ours, scipys = (_solved(bind(numpy), made) for numpy in (True, False))
+        assert ours[4] == scipys[4]
+        assert (ours[4] == 1) is (system == "_singular")
+        for mine, theirs in zip(ours[:4], scipys[:4]):
+            assert np.array_equal(mine, theirs, equal_nan=True)
+
+    def test_two_threads_solve_as_one(self, bind):
+        zgtsv = bind(numpy=True)
+        rng = np.random.default_rng(3)
+        systems = [_system(rng, n, 6.0, 1.0) for n in (17, 999)]
+        serial = [_solved(zgtsv, s)[3] for s in systems]
+        start = threading.Barrier(2, timeout=60)
+        matched = [0, 0]
+
+        def solve(i):
+            for _ in range(1000):
+                start.wait()  # in step, so that every solve overlaps one of the other's
+                dl, d, du, x, info = _solved(zgtsv, systems[i])
+                matched[i] += info == 0 and np.array_equal(x, serial[i])
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the threads take turns between any two bytecodes
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert matched == [1000, 1000]
 
 
 class TestWorkspace:
